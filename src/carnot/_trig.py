@@ -110,14 +110,6 @@ def _moments(z, kmax):
     return mc.reshape((kmax + 1,) + shape), ms.reshape((kmax + 1,) + shape)
 
 
-def _mc(k, z):
-    return _moments(z, k)[0][k]
-
-
-def _ms(k, z):
-    return _moments(z, k)[1][k]
-
-
 def _flat_pair(za, zb):
     za, zb = np.broadcast_arrays(np.asarray(za, float), np.asarray(zb, float))
     return za.reshape(-1), zb.reshape(-1), za.shape

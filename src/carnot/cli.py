@@ -226,11 +226,6 @@ def cmd_distance(args):
     group = _resolve_group(args.group)
     x = _parse_vector(args.from_, group.n, "--from")
     y = _parse_vector(args.to, group.n, "--to")
-    if group.step != 2:
-        raise WrongStep(
-            "distance needs the closed-form exponential, which exists for "
-            "2-step groups only; %r has step %d" % (args.group, group.step)
-        )
     sol = distance_point(
         group, x, y, starts=args.starts, max_iter=args.max_iter
     )
@@ -343,13 +338,7 @@ def cmd_orthogonality(args):
 
 def _surface_setup(args):
     group = _resolve_group(args.group)
-    if group.step != 2:
-        raise WrongStep(
-            "surface geometry needs a 2-step group; %r has step %d"
-            % (args.group, group.step)
-        )
-    field = _parse_surface(args.f, group.n)
-    return group, field
+    return group, _parse_surface(args.f, group.n)
 
 
 def _chart_for(args, group, field, x):

@@ -41,13 +41,14 @@ Sub-Riemannian Geometry, 2019), so converged roots with a conjugate time
 strictly before their arrival are dropped, smallest root first. The scan is
 made only for roots whose fastest rotation has turned a full period
 (sigma_max(C_H(eta)) T >= 2 pi); a skipped scan rejects nothing, so it
-cannot lose a minimizer. A target whose converged roots are all dropped, or
-whose smallest remaining root has turned a full period, is solved again as
-its inverse -z = y^-1 x on the same lattice: a root (P, T) of -z is the
-reversed geodesic of the root (-P(T), T) of z, and these join the roots of
-z. Targets with no converged root are not solved again. The reduction over
-the remaining roots is deterministic: smallest T, ties broken by
-lexicographic comparison of the initial covector, so batched and repeated
+cannot lose a minimizer. A target with no converged root, or whose
+converged roots are all dropped, or whose smallest remaining root has
+turned a full period, is solved again as its inverse -z = y^-1 x on the
+same lattice: a root (P, T) of -z is the reversed geodesic of the root
+(-P(T), T) of z, and these join the roots of z. One fold rule (``_pick``)
+orders the remaining roots, for the conjugate scan and for the answer
+alike: smallest T, ties broken by lexicographic comparison of the initial
+covector, the first of equal covectors winning, so batched and repeated
 runs agree to the bit. Any converged root only ever overestimates the
 distance, which is what makes the cheap certified lower bound (|y_H| <= L
 and |y_a| <= |C^a| L^2 / 4 from the signed-area form of the vertical
@@ -64,8 +65,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _trig
-from .errors import NoConvergence, NotUnit, WrongStep
-from .expmap import ClosedFormPath, exp_sr_2step, skew_canonical
+from .errors import NoConvergence, NotUnit
+from .expmap import ClosedFormPath, exp_sr_2step, require_step2, skew_canonical
 from .geodesics import GeodesicTrace, _conservation_meta, _rk4
 from .groups import CarnotGroup, c_operator, frame_apply, group_product
 
@@ -190,13 +191,6 @@ class ShootingBatch:
         )
 
 
-def _require_step2(group, what):
-    if group.step != 2:
-        raise WrongStep(
-            "%s needs a step-2 group, got step %d" % (what, group.step)
-        )
-
-
 def gauss_system_integrate(group, x0, nuH0, varpi0, r, steps=2000):
     """Integrate the orthogonality system (x, nu_H, varpi) for time r.
 
@@ -269,22 +263,15 @@ def _tangent_basis(w):
     return H[:, :, 1:]
 
 
-def _lex_update(bestP, bestset, candP, candset):
-    """Track the lexicographically smallest covector among tied roots."""
-    take = candset & ~bestset
-    m, n = bestP.shape
-    both = candset & bestset
-    if both.any():
-        less = np.zeros(m, dtype=bool)
-        done = np.zeros(m, dtype=bool)
-        for j in range(n):
-            lt = candP[:, j] < bestP[:, j]
-            gt = candP[:, j] > bestP[:, j]
-            less |= lt & ~done
-            done |= lt | gt
-        take |= both & less
-    bestP[take] = candP[take]
-    return bestset | candset, take
+def _pick(P0s, ties):
+    """Per target, the column of the root the fold keeps among ``ties``.
+
+    The one fold rule: the lexicographically smallest covector among the
+    tied roots, the first of equal covectors winning. A target with no tied
+    root gets an arbitrary column.
+    """
+    keys = np.concatenate([np.moveaxis(P0s, -1, 0)[::-1], ~ties[None]])
+    return np.lexsort(keys, axis=-1)[:, 0]
 
 
 def _start_grid(group, targets, starts):
@@ -608,8 +595,7 @@ def _drop_past_conjugate(group, P0s, Ts, keep, turned):
         if rows.size == 0:
             return keep
         i = rows[0]
-        cols = np.nonzero(ties[i])[0]
-        s = cols[np.lexsort(P0s[i, cols].T[::-1])[0]]
+        s = _pick(P0s[i : i + 1], ties[i : i + 1])[0]
         if not pending[i, s]:
             pending[i] = False
             continue
@@ -642,16 +628,17 @@ def _minimizing_roots(group, targets, starts, max_iter, tol):
 def _shooting(group, targets, starts, max_iter, tol):
     """Minimizing shooting roots of z, and of -z where those of z are doubtful.
 
-    -z is solved again when z has converged roots but none of its smallest
-    kept roots stays below a full turn (every root dropped, or the minimum
+    -z is solved again when none of the smallest kept roots of z stays below
+    a full turn (no root converged, every root dropped, or the minimum
     reached only after a full period); its roots, reversed, join those of
-    z. Returns (T, P0, residual, multiplicity, found) over the targets.
+    z, and ``_pick`` folds them. Returns (T, P0, residual, multiplicity,
+    found) over the targets.
     """
     n = group.n
     P0s, Ts, fns, convs, keep, turned = _minimizing_roots(
         group, targets, starts, max_iter, tol
     )
-    retry = convs.any(axis=1) & ~(_smallest(Ts, keep) & ~turned).any(axis=1)
+    retry = ~(_smallest(Ts, keep) & ~turned).any(axis=1)
     if retry.any():
         rP0, rT, rfn, _, rkeep, _ = _minimizing_roots(
             group, -targets[retry], starts, max_iter, tol
@@ -668,25 +655,15 @@ def _shooting(group, targets, starts, max_iter, tol):
         P0s[k, starts:], Ts[k, starts:], fns[k, starts:] = -arrival, rT, rfn
         keep[k, starts:] = rkeep
 
-    ms = targets.shape[0]
     found = keep.any(axis=1)
     ties = _smallest(Ts, keep)
-    bestP = np.zeros((ms, n))
-    bestset = np.zeros(ms, dtype=bool)
-    bestT = np.zeros(ms)
-    bestR = np.full(ms, np.inf)
-    spread = np.zeros(ms)
-    for s in range(Ts.shape[1]):
-        cand = ties[:, s]
-        bestset, took = _lex_update(bestP, bestset, P0s[:, s], cand)
-        bestT[took] = Ts[took, s]
-        bestR[took] = fns[took, s]
-    for s in range(Ts.shape[1]):
-        cand = ties[:, s]
-        dev = np.abs(P0s[:, s] - bestP).max(axis=1)
-        spread = np.where(cand, np.maximum(spread, dev), spread)
-    residual = np.where(found, bestR, fns.min(axis=1))
-    return bestT, bestP, residual, spread > DISTINCT_ROOT_TOL, found
+    rows = np.arange(targets.shape[0])
+    best = _pick(P0s, ties)
+    bestP = P0s[rows, best]
+    spread = np.where(ties, np.abs(P0s - bestP[:, None]).max(axis=2), 0.0)
+    mult = spread.max(axis=1) > DISTINCT_ROOT_TOL
+    residual = np.where(found, fns[rows, best], fns.min(axis=1))
+    return Ts[rows, best], bestP, residual, mult, found
 
 
 def distance_batch(
@@ -699,20 +676,21 @@ def distance_batch(
     not used) and counts as converged when the returned covector reaches it
     within ``tol`` relative to max(1, |z|). On corank >= 2 the multi-start
     shooting solver runs on the whole batch; converged roots with a
-    conjugate time before their arrival are dropped, a target whose
-    converged roots are all dropped, or whose smallest one has turned a full
-    period of its fastest rotation, is solved again as its inverse -z with
-    the roots mapped back, and the remaining roots are folded
-    deterministically: minimal T first, lexicographic initial covector among
-    ties. Targets whose minimizing roots disagree in covector while tying in
-    time are flagged with ``multiplicity``, as are corank-1 targets reached
-    by a family of minimizers and vertical-axis targets (horizontal offset
-    below 1e-9). Targets left with no root carry their best residual and
-    ``converged=False``: no start converged, or (corank >= 2) every
-    converged root of z and of -z ran past a conjugate point. For them
+    conjugate time before their arrival are dropped, a target with no
+    converged root left, or whose smallest one has turned a full period of
+    its fastest rotation, is solved again as its inverse -z with the roots
+    mapped back, and the remaining roots are folded by the one rule of
+    ``_pick``: minimal T first, then the lexicographically smallest initial
+    covector, the first of equal ones winning. Targets whose minimizing
+    roots disagree in covector while tying in time are flagged with
+    ``multiplicity``, as are corank-1 targets reached by a family of
+    minimizers and vertical-axis targets (horizontal offset below 1e-9).
+    Targets left with no root carry their best residual and
+    ``converged=False``: no start converged on z or on -z, or (corank >= 2)
+    every converged root of both ran past a conjugate point. For them
     ``solution(i)`` raises NoConvergence.
     """
-    _require_step2(group, "distance")
+    require_step2(group, "distance")
     x0 = group.point(np.asarray(x0, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.shape[-1] != group.n:
@@ -779,7 +757,7 @@ def distance_lower_bound(group, x0, targets):
     brute-force sweeps: pruning by a true lower bound can never lose the
     minimizer.
     """
-    _require_step2(group, "distance bounds")
+    require_step2(group, "distance bounds")
     x0 = group.point(np.asarray(x0, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     reduced = group_product(group, -x0, targets)
@@ -789,32 +767,25 @@ def distance_lower_bound(group, x0, targets):
     return np.maximum(np.linalg.norm(reduced[:, :h], axis=1), vert)
 
 
-def horizontal_distance_gradient(group, x0, points, step=1e-4, **solver):
-    """Frame components of grad_H d(x0, .) by central differences.
+def horizontal_distance_gradient(group, x0, points, **solver):
+    """Frame components of grad_H d(x0, .) at points off the cut locus.
 
-    Each point is slid along its left-invariant horizontal frame directions
-    (right translation by +-step e_i) and the distances are differenced; the
-    whole stencil for all points goes through one batched solve. At regular
-    sphere points the result has unit norm and matches the arriving momentum.
+    There the gradient is the horizontal arrival momentum of the unique
+    minimizer, so one batched solve gives it; it has unit norm.
     """
-    _require_step2(group, "distance gradient")
+    require_step2(group, "distance gradient")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
-    h, n = group.h, group.n
-    disp = np.zeros((2 * h, n))
-    for i in range(h):
-        disp[i, i] = step
-        disp[h + i, i] = -step
-    moved = group_product(group, points[None, :, :], disp[:, None, :])
-    batch = distance_batch(group, x0, moved.reshape(-1, n), **solver)
+    batch = distance_batch(group, x0, points, **solver)
     if not batch.converged.all():
         bad = int(np.argmin(batch.converged))
         raise NoConvergence(
-            "distance solve failed on the gradient stencil; best residual %.3e"
-            % batch.residual[bad]
+            "distance solve failed at point %d; best residual %.3e"
+            % (bad, batch.residual[bad])
         )
-    d = batch.T.reshape(2 * h, m)
-    return (d[:h] - d[h:]).T / (2.0 * step)
+    _, arrival = exp_sr_2step(
+        group, np.zeros(group.n), batch.P0, batch.T, return_momentum=True
+    )
+    return arrival[:, : group.h]
 
 
 @dataclass
@@ -882,7 +853,7 @@ def sphere_sample(
     recomputed shooting distance agrees with r within 1e-5 r; the rest of
     the wave front is strictly closer and gets dropped.
     """
-    _require_step2(group, "sphere sampling")
+    require_step2(group, "sphere sampling")
     if r <= 0.0:
         raise ValueError("sphere radius must be positive")
     x0 = group.point(np.asarray(x0, dtype=float))
@@ -942,7 +913,7 @@ def sphere_sample(
 
 def exp_jacobian_det(group, x0, P0, ts, step=1e-5):
     """det of the finite-difference momentum Jacobian of exp at times ts."""
-    _require_step2(group, "conjugate detection")
+    require_step2(group, "conjugate detection")
     x0 = group.point(np.asarray(x0, dtype=float))
     P0 = group.point(np.asarray(P0, dtype=float))
     n = group.n
@@ -966,7 +937,7 @@ def conjugate_detect(group, x0, P0, t_max, samples=400, step=1e-5):
     monotonically in magnitude at small t, so nothing spurious is reported
     there.
     """
-    _require_step2(group, "conjugate detection")
+    require_step2(group, "conjugate detection")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     ts = np.linspace(0.0, float(t_max), int(samples) + 1)[1:]

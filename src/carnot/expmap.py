@@ -45,11 +45,20 @@ __all__ = [
     "vertical_increment",
     "periodicity",
     "minimal_periods",
+    "require_step2",
 ]
 
 SKEW_TOL = 1e-12
 FREQ_TOL = 1e-10
 KERNEL_TOL = 1e-8
+
+
+def require_step2(group, what):
+    """Raise WrongStep unless ``group`` has step 2; ``what`` names the caller."""
+    if group.step != 2:
+        raise WrongStep(
+            "%s needs a 2-step group, got step %d" % (what, group.step)
+        )
 
 
 def _check_skew(M):
@@ -187,8 +196,7 @@ class ClosedFormPath:
 
     def __post_init__(self):
         g = self.group
-        if g.step != 2:
-            raise WrongStep("closed-form exponential requires a step-2 group")
+        require_step2(g, "closed-form exponential")
         n, h = g.n, g.h
         self.x0 = np.asarray(self.x0, dtype=float)
         self.P0 = np.asarray(self.P0, dtype=float)

@@ -48,9 +48,6 @@ from .errors import (
 __all__ = [
     "GrowthVector",
     "CarnotGroup",
-    "GroupPoint",
-    "VerticalCovector",
-    "StructureTensor",
     "build_group",
     "group_product",
     "left_frame",
@@ -64,12 +61,6 @@ __all__ = [
     "load_group",
     "random_two_step",
 ]
-
-# Aliases for readability of signatures; points and covectors are plain
-# float arrays (a point has n components, a vertical covector the last v).
-GroupPoint = np.ndarray
-VerticalCovector = np.ndarray
-StructureTensor = np.ndarray
 
 JACOBI_TOL = 1e-12
 RANK_TOL = 1e-8
@@ -125,7 +116,7 @@ class CarnotGroup:
     """
 
     growth: GrowthVector
-    C: StructureTensor
+    C: np.ndarray
     name: str | None = None
     CV: np.ndarray = field(init=False, repr=False)
     CH: np.ndarray = field(init=False, repr=False)

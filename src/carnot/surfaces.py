@@ -35,10 +35,9 @@ from .errors import (
     NoConvergence,
     NotOnSurface,
     OutsideChart,
-    WrongStep,
     ZeroGradient,
 )
-from .expmap import ClosedFormPath, exp_matrix
+from .expmap import ClosedFormPath, exp_matrix, require_step2
 from .geodesics import GeodesicTrace
 from .groups import CarnotGroup, c_operator, left_frame
 
@@ -206,7 +205,7 @@ def surface_normals(group, field, x):
     x need not lie on the surface: the construction only uses f's gradient,
     so it applies to every level set through x.
     """
-    _require_step2(group, "surface normals")
+    require_step2(group, "surface normals")
     g = frame_gradient(group, field, x)
     if g.ndim != 1:
         raise ValueError("surface_normals takes a single point")
@@ -214,13 +213,6 @@ def surface_normals(group, field, x):
     if char:
         return SurfaceNormalData(nu, None, None, True, float(frac))
     return SurfaceNormalData(nu, nuH, varpi, False, float(frac))
-
-
-def _require_step2(group, what):
-    if group.step != 2:
-        raise WrongStep(
-            "%s needs a step-2 group, got step %d" % (what, group.step)
-        )
 
 
 def _check_on_surface(field, y):
@@ -238,7 +230,7 @@ def metric_normal(group, field, y, t_range=(-1.0, 1.0), samples=201, sign=1):
     The momentum is sign * N(y); both orientations trace the same set. With
     varpi = 0 the curve is the straight one-parameter subgroup line.
     """
-    _require_step2(group, "metric normal")
+    require_step2(group, "metric normal")
     y = group.point(np.asarray(y, dtype=float))
     _check_on_surface(field, y)
     data = surface_normals(group, field, y)
@@ -402,7 +394,7 @@ def build_chart(
     rely on. Probing also certifies the patch stays clear of the
     characteristic set.
     """
-    _require_step2(group, "tubular chart")
+    require_step2(group, "tubular chart")
     base = group.point(np.asarray(base, dtype=float))
     _check_on_surface(field, base)
     data = surface_normals(group, field, base)

@@ -270,10 +270,10 @@ def second_variation_check(
     norm in the plane spanned by P_H(0) and the horizontal part of
     dY/dt(0), with the vertical momentum held fixed.
 
-    In geodesic-variation mode the second-order operator is paired with Y
-    through its horizontal rows only; the vertical rows are replaced by the
-    transport defect dY_V/dt - [Y, u]_V, which vanishes on fields that come
-    from actual families of geodesics (see ``jacobi_residual``).
+    In geodesic-variation mode Y is paired with ``jacobi_residual``: the
+    second-order operator on the horizontal rows, and on the vertical rows
+    the transport defect dY_V/dt - [Y, u]_V, which vanishes on fields that
+    come from actual families of geodesics.
     """
     if mode not in ("general", "geodesic-variation"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -294,10 +294,8 @@ def second_variation_check(
     pv = np.asarray(trace.ps[:, h:], dtype=float)
 
     conn = connection_data(g)
-    gamma, Rm = conn.gamma, conn.curvature
+    gamma = conn.gamma
     covY = _covdiff(gamma, times, Y, u)
-    CP = c_operator(g, pv)
-    Rterm = np.einsum("mi,mj,mk,ijkl->ml", u, Y, u, Rm)
     s = float(s_step)
 
     if mode == "general":
@@ -310,9 +308,9 @@ def second_variation_check(
         qexpr = covY - 0.75 * brYu - 0.25 * np.einsum("mij,mj->mi", CYV, u)
         yexpr = (
             D2H
-            + np.einsum("mij,mj->mi", CP, D1H + brYu)
+            + np.einsum("mij,mj->mi", c_operator(g, pv), D1H + brYu)
             + brYu
-            + Rterm
+            + np.einsum("mi,mj,mk,ijkl->ml", u, Y, u, conn.curvature)
         )
         integrand = 2.0 * np.sum(q * qexpr[:, h:], axis=1) - np.sum(
             Y * yexpr, axis=1
@@ -325,21 +323,10 @@ def second_variation_check(
         lower = _action(g, times, xs - s * push, pv - s * q, dt)
         return formula, (upper - 2.0 * mid + lower) / (s * s)
 
+    # The Jacobi operator of jacobi_residual, transport defect in the
+    # vertical rows.  bruY = [u, Y].
+    yexpr = jacobi_residual(g, trace, Y).components
     bruY = np.einsum("rij,mi,mj->mr", g.C, u, Y)
-    A = np.einsum("ijk,mk->mij", gamma, u)
-    udot = -np.einsum("mij,mj->mi", CP, u)
-    Adot = np.einsum("ijk,mk->mij", gamma, udot)
-    Ydot = np.gradient(Y, times, axis=0, edge_order=2)
-    cov2Y = (
-        _second_derivative(dt, Y)
-        + np.einsum("mij,mj->mi", Adot, Y)
-        + 2.0 * np.einsum("mij,mj->mi", A, Ydot)
-        + np.einsum("mij,mjk,mk->mi", A, A, Y)
-    )
-    yexpr = cov2Y + Rterm + np.einsum("mij,mj->mi", CP, covY)
-    yexpr[:, :h] -= _pairing_commutator(g, pv, Y, u)
-    # Vertical rows: transport defect, as in jacobi_residual.  bruY = [u,Y].
-    yexpr[:, h:] = Ydot[:, h:] + bruY[:, h:]
     integrand = np.sum(q * (covY + bruY)[:, h:], axis=1) - np.sum(
         Y * yexpr, axis=1
     )
@@ -379,24 +366,62 @@ def _second_derivative(dt: float, Y: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _pairing_commutator(group: CarnotGroup, pv, Y, u) -> np.ndarray:
-    """(1/2)[C_H(P_V), C_H(Y_V)] P_H on each sample.
+def _jacobi_coefficients(group: CarnotGroup, conn: ConnectionData, u, pv) -> dict:
+    """Coefficients of the Jacobi system at velocity samples u, multipliers pv.
 
-    The multiplier pairing z -> C_H(z) is a left-invariant operator but it
-    is not parallel for the Levi-Civita connection, so differentiating
-    C(P_V) along a variation leaves this commutator behind in the
-    horizontal second-order rows.  It vanishes whenever the second layer
-    is one dimensional (the two matrices are then proportional).
+    A is the Christoffel contraction of the velocity, Adot its derivative
+    through du/dt = -C(P_V) u, B the curvature contracted twice with u and
+    M = C_H(P_V).  Leading sample axes of u and pv carry through.
     """
     h = group.h
     v2 = group.CH.shape[0]
-    M = np.einsum("vij,mv->mij", group.CH, pv[:, :v2])
-    S = np.einsum("vij,mv->mij", group.CH, Y[:, h : h + v2])
-    uH = u[:, :h]
-    return 0.5 * (
-        np.einsum("mij,mjk,mk->mi", M, S, uH)
-        - np.einsum("mij,mjk,mk->mi", S, M, uH)
+    CP = np.einsum("vij,...v->...ij", group.C[h:], pv)
+    ud = -np.einsum("...ij,...j->...i", CP, u)
+    A = np.einsum("ijk,...k->...ij", conn.gamma, u)
+    Adot = np.einsum("ijk,...k->...ij", conn.gamma, ud)
+    B = np.einsum("...i,...k,ijkl->...lj", u, u, conn.curvature)
+    M = np.einsum("vij,...v->...ij", group.CH, pv[..., :v2])
+    return {"u": u, "ud": ud, "A": A, "Adot": Adot, "CP": CP, "B": B, "M": M}
+
+
+def _jacobi_rhs(group: CarnotGroup, c: dict, Y, Z) -> np.ndarray:
+    """d^2Y/dt^2 of the Jacobi system at state (Y, Z = dY/dt).
+
+    Horizontal rows solve nabla_t^2 Y + R(P_H, Y) P_H + C(P_V) nabla_t Y
+    - (1/2)[C_H(P_V), C_H(Y_V)] P_H = 0 for Y'', with the second covariant
+    derivative expanded as Y'' + A'Y + 2AY' + A(AY).  Vertical rows: the
+    derivative of the transport equation, [Z, P_H]_V + [Y, dP_H/dt]_V.
+    ``c`` holds the coefficients of ``_jacobi_coefficients`` at one sample
+    (Y and Z then take any batch axes) or at every sample along Y's leading
+    axis.
+    """
+    h = group.h
+    v2 = group.CH.shape[0]
+    A, M, uH = c["A"], c["M"], c["u"][..., :h]
+    AY = np.einsum("...ij,...j->...i", A, Y)
+    rest = (
+        np.einsum("...ij,...j->...i", c["Adot"], Y)
+        + 2.0 * np.einsum("...ij,...j->...i", A, Z)
+        + np.einsum("...ij,...j->...i", A, AY)
+        + np.einsum("...lj,...j->...l", c["B"], Y)
+        + np.einsum("...ij,...j->...i", c["CP"], Z + AY)
     )
+    # (1/2)[C_H(P_V), C_H(Y_V)] P_H: the pairing z -> C_H(z) is not parallel
+    # for Levi-Civita, so differentiating C(P_V) along a variation leaves
+    # this commutator behind; it vanishes when the second layer is one
+    # dimensional (the two matrices are then proportional)
+    S = np.einsum("vij,...v->...ij", group.CH, Y[..., h : h + v2])
+    corr = 0.5 * (
+        np.einsum("...ij,...jk,...k->...i", M, S, uH)
+        - np.einsum("...ij,...jk,...k->...i", S, M, uH)
+    )
+    dZ = np.empty_like(Z)
+    dZ[..., :h] = corr - rest[..., :h]
+    dZ[..., h:] = (
+        np.einsum("rij,...i,...j->...r", group.C, Z, c["u"])
+        + np.einsum("rij,...i,...j->...r", group.C, Y, c["ud"])
+    )[..., h:]
+    return dZ
 
 
 def jacobi_residual(
@@ -405,19 +430,16 @@ def jacobi_residual(
     """Defect of the constant-multiplier Jacobi system on a sampled field.
 
     Horizontal rows evaluate nabla_t^2 Y + R(P_H, Y) P_H + C(P_V) nabla_t Y
-    - (1/2)[C_H(P_V), C_H(Y_V)] P_H with the geodesic's velocity taken from
-    its momenta; the commutator term is what the pairing z -> C_H(z)
-    contributes alongside the curvature (see ``_pairing_commutator``), and
-    fields obtained by differencing actual geodesic families vanish against
-    these rows.  Vertical rows report the transport defect
-    dY_V/dt - [Y, P_H]_V instead: variation fields keep their vertical part
-    slaved to the horizontal one through that first-order equation, and the
-    second-order operator applied to the vertical rows reduces to
-    d/dt [Y, P_H]_V, which carries no information the transport row does
-    not already have.  The second covariant derivative is expanded as
-    Y'' + A'Y + 2AY' + A(AY) with A the Christoffel contraction of the
-    velocity, so no stencil is applied to the output of another and the
-    defect stays uniformly second order up to the boundary samples.
+    - (1/2)[C_H(P_V), C_H(Y_V)] P_H, i.e. Y'' minus ``_jacobi_rhs``, with
+    the geodesic's velocity taken from its momenta; fields obtained by
+    differencing actual geodesic families vanish against these rows.
+    Vertical rows report the transport defect dY_V/dt - [Y, P_H]_V instead:
+    variation fields keep their vertical part slaved to the horizontal one
+    through that first-order equation, and the second-order operator
+    applied to the vertical rows reduces to d/dt [Y, P_H]_V, which carries
+    no information the transport row does not already have.  No stencil is
+    applied to the output of another, so the defect stays uniformly second
+    order up to the boundary samples.
     """
     g = _resolve_group(trace, group)
     dt = _uniform_dt(trace.times)
@@ -425,26 +447,9 @@ def jacobi_residual(
     Y = _field_components(field, trace, g.n, "field")
     u = _momentum_velocity(trace, h)
     pv = np.asarray(trace.ps[:, h:], dtype=float)
-    conn = connection_data(g)
-    CP = c_operator(g, pv)
-    A = np.einsum("ijk,mk->mij", conn.gamma, u)
-    udot = -np.einsum("mij,mj->mi", CP, u)
-    Adot = np.einsum("ijk,mk->mij", conn.gamma, udot)
+    c = _jacobi_coefficients(g, connection_data(g), u, pv)
     Ydot = np.gradient(Y, trace.times, axis=0, edge_order=2)
-    AY = np.einsum("mij,mj->mi", A, Y)
-    covY = Ydot + AY
-    cov2Y = (
-        _second_derivative(dt, Y)
-        + np.einsum("mij,mj->mi", Adot, Y)
-        + 2.0 * np.einsum("mij,mj->mi", A, Ydot)
-        + np.einsum("mij,mj->mi", A, AY)
-    )
-    res = (
-        cov2Y
-        + np.einsum("mi,mj,mk,ijkl->ml", u, Y, u, conn.curvature)
-        + np.einsum("mij,mj->mi", CP, covY)
-    )
-    res[:, :h] -= _pairing_commutator(g, pv, Y, u)
+    res = _second_derivative(dt, Y) - _jacobi_rhs(g, c, Y, Ydot)
     res[:, h:] = Ydot[:, h:] - np.einsum("rij,mi,mj->mr", g.C, Y, u)[:, h:]
     return FieldAlongCurve(trace.times, res)
 
@@ -464,7 +469,6 @@ def integrate_jacobi(
     trace: GeodesicTrace,
     J0,
     J0dot,
-    mode: str = "constant-multiplier",
 ) -> FieldAlongCurve:
     """March the Jacobi system along a unit-speed normal geodesic.
 
@@ -477,13 +481,11 @@ def integrate_jacobi(
     variations and arbitrary initial data still give a well-posed linear
     flow of dimension 2n.  RK4 on the trace's grid; coefficients at half
     steps come from cubic interpolation of the momenta, keeping the
-    classical order.  Both modes integrate the same system;
-    ``mode="full"`` additionally reports the vertical transport defect
-    Z_V - [Y, P_H]_V in the meta, monitored rather than enforced.
+    classical order.  The meta carries Z as ``derivative`` and the vertical
+    transport defect Z_V - [Y, P_H]_V as ``constraint_defect`` (with its
+    maximum ``constraint_defect_sup``), monitored rather than enforced.
     ``J0``/``J0dot`` accept leading batch axes.
     """
-    if mode not in ("full", "constant-multiplier"):
-        raise ValueError(f"unknown mode {mode!r}")
     g = group
     times = trace.times
     dt = _uniform_dt(times)
@@ -492,20 +494,13 @@ def integrate_jacobi(
     pv = np.asarray(trace.ps[:, h:], dtype=float)
 
     conn = connection_data(g)
-    gamma, Rm = conn.gamma, conn.curvature
-    v2 = g.CH.shape[0]
 
-    def coeffs(uu, pp):
-        CP = np.einsum("vij,mv->mij", g.C[h:], pp)
-        ud = -np.einsum("mij,mj->mi", CP, uu)
-        A = np.einsum("ijk,mk->mij", gamma, uu)
-        Adot = np.einsum("ijk,mk->mij", gamma, ud)
-        B = np.einsum("mi,mk,ijkl->mlj", uu, uu, Rm)
-        M = np.einsum("vij,mv->mij", g.CH, pp[:, :v2])
-        return {"u": uu, "ud": ud, "A": A, "Adot": Adot, "CP": CP, "B": B, "M": M}
+    def per_sample(u, pv):
+        c = _jacobi_coefficients(g, conn, u, pv)
+        return [dict(zip(c, row)) for row in zip(*c.values())]
 
-    on_grid = coeffs(u, pv)
-    on_half = coeffs(_half_samples(u), _half_samples(pv))
+    on_grid = per_sample(u, pv)
+    on_half = per_sample(_half_samples(u), _half_samples(pv))
 
     J0 = np.asarray(J0, dtype=float)
     J0dot = np.asarray(J0dot, dtype=float)
@@ -515,47 +510,27 @@ def integrate_jacobi(
     Y = np.broadcast_to(J0, shape).astype(float)
     Z = np.broadcast_to(J0dot, shape).astype(float)
 
-    def rhs(c, i, Y, Z):
-        A, Adot, CP, B, M = c["A"][i], c["Adot"][i], c["CP"][i], c["B"][i], c["M"][i]
-        uu, ud = c["u"][i], c["ud"][i]
-        AY = np.einsum("ij,...j->...i", A, Y)
-        rest = (
-            np.einsum("ij,...j->...i", Adot, Y)
-            + 2.0 * np.einsum("ij,...j->...i", A, Z)
-            + np.einsum("ij,...j->...i", A, AY)
-            + np.einsum("lj,...j->...l", B, Y)
-            + np.einsum("ij,...j->...i", CP, Z + AY)
-        )
-        S = np.einsum("vij,...v->...ij", g.CH, Y[..., h : h + v2])
-        corr = 0.5 * (
-            np.einsum("ij,...jk,k->...i", M, S, uu[:h])
-            - np.einsum("...ij,jk,k->...i", S, M, uu[:h])
-        )
-        dZ = np.empty_like(Z)
-        dZ[..., :h] = corr - rest[..., :h]
-        dZ[..., h:] = (
-            np.einsum("rij,...i,j->...r", g.C, Z, uu)
-            + np.einsum("rij,...i,j->...r", g.C, Y, ud)
-        )[..., h:]
-        return Z.copy(), dZ
+    def rhs(c, Y, Z):
+        return Z, _jacobi_rhs(g, c, Y, Z)
 
     m = len(times)
     Ys = np.empty((m,) + shape)
     Zs = np.empty((m,) + shape)
     Ys[0], Zs[0] = Y, Z
     for i in range(m - 1):
-        k1y, k1z = rhs(on_grid, i, Y, Z)
-        k2y, k2z = rhs(on_half, i, Y + 0.5 * dt * k1y, Z + 0.5 * dt * k1z)
-        k3y, k3z = rhs(on_half, i, Y + 0.5 * dt * k2y, Z + 0.5 * dt * k2z)
-        k4y, k4z = rhs(on_grid, i + 1, Y + dt * k3y, Z + dt * k3z)
+        k1y, k1z = rhs(on_grid[i], Y, Z)
+        k2y, k2z = rhs(on_half[i], Y + 0.5 * dt * k1y, Z + 0.5 * dt * k1z)
+        k3y, k3z = rhs(on_half[i], Y + 0.5 * dt * k2y, Z + 0.5 * dt * k2z)
+        k4y, k4z = rhs(on_grid[i + 1], Y + dt * k3y, Z + dt * k3z)
         Y = Y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         Z = Z + dt / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
         Ys[i + 1], Zs[i + 1] = Y, Z
 
-    meta = {"mode": mode, "derivative": Zs}
-    if mode == "full":
-        br = np.einsum("rij,m...i,mj->m...r", g.C, Ys, u)
-        defect = (Zs - br)[..., h:]
-        meta["constraint_defect"] = defect
-        meta["constraint_defect_sup"] = float(np.max(np.abs(defect)))
+    br = np.einsum("rij,m...i,mj->m...r", g.C, Ys, u)
+    defect = (Zs - br)[..., h:]
+    meta = {
+        "derivative": Zs,
+        "constraint_defect": defect,
+        "constraint_defect_sup": float(np.max(np.abs(defect), initial=0.0)),
+    }
     return FieldAlongCurve(times, Ys, meta)

@@ -11,6 +11,7 @@ import pytest
 
 from carnot.distance import (
     ShootingSolution,
+    _pick,
     conjugate_detect,
     distance_batch,
     distance_lower_bound,
@@ -109,6 +110,35 @@ def test_full_turn_root_retried_on_inverse():
     assert abs(sol.T - 3.541218) < 1e-6
     reached = exp_sr_2step(g, np.zeros(7), sol.P0, sol.T)
     assert np.max(np.abs(reached - y)) < 1e-9
+
+
+def test_unconverged_target_retried_on_inverse():
+    # no start of the lattice converges on y (best residual 0.30); -y is
+    # solved too, and its minimizer reversed reaches y at d(y, 0)
+    g = random_two_step(4, 3, np.random.default_rng(8))
+    y = np.array([
+        0.43919349351729436, 1.024591077762065, -0.3232677308941149,
+        1.7133716327948385, 1.2759740433101456, 0.35307602330793086,
+        0.47171827985954007,
+    ])
+    sol = distance_point(g, np.zeros(7), y)
+    assert abs(sol.T - 3.967896) < 1e-6
+    assert abs(sol.T - distance_point(g, y, np.zeros(7)).T) < 1e-9
+    reached = exp_sr_2step(g, np.zeros(7), sol.P0, sol.T)
+    assert np.max(np.abs(reached - y)) < 1e-9
+
+
+def test_pick_is_lexicographic_first_of_equals():
+    # the fold rule: among tied roots the lexicographically smallest
+    # covector, the first of equal ones winning; untied roots never win
+    rng = np.random.default_rng(14)
+    P0s = rng.integers(0, 3, (40, 6, 3)).astype(float)
+    ties = rng.random((40, 6)) < 0.6
+    ties[:, 0] |= ~ties.any(axis=1)
+    got = _pick(P0s, ties)
+    for i in range(40):
+        cols = np.nonzero(ties[i])[0]
+        assert got[i] == min(cols, key=lambda s: (tuple(P0s[i, s]), s))
 
 
 def test_dilation_scaling():

@@ -494,7 +494,7 @@ def test_integrate_jacobi_reproduces_exp_variation():
         dt = tr.times[1] - tr.times[0]
         Yc = Y.components
         Z0 = (-11 * Yc[0] + 18 * Yc[1] - 9 * Yc[2] + 2 * Yc[3]) / (6 * dt)
-        out = integrate_jacobi(g, tr, Yc[0], Z0, mode="full")
+        out = integrate_jacobi(g, tr, Yc[0], Z0)
         assert np.abs(out.components - Yc).max() < 1e-8
         assert out.meta["constraint_defect_sup"] < 1e-8
 
@@ -544,12 +544,10 @@ def test_integrate_jacobi_gates():
         integrate_jacobi(g, fast, np.zeros(3), np.ones(3))
     tr = integrate_normal(g, np.zeros(3), np.array([1.0, 0.0, 1.0]), 1.0, 300)
     with pytest.raises(ValueError):
-        integrate_jacobi(g, tr, np.zeros(3), np.ones(3), mode="bogus")
-    with pytest.raises(ValueError):
         integrate_jacobi(g, tr, np.zeros(2), np.ones(2))
 
 
-def test_integrate_jacobi_full_mode_monitor():
+def test_integrate_jacobi_constraint_monitor():
     g = random_two_step(4, 1, np.random.default_rng(41))
     P0 = unit_covector(g, np.random.default_rng(42))
     tr = integrate_normal(g, np.zeros(5), P0, 1.2, 600)
@@ -560,13 +558,12 @@ def test_integrate_jacobi_full_mode_monitor():
     # compatible vertical derivative: the defect stays at the integration
     # error floor for the whole window
     J0dot[4:] = np.einsum("rij,i,j->r", g.C, J0, u0)[4:]
-    out = integrate_jacobi(g, tr, J0, J0dot, mode="full")
-    assert out.meta["mode"] == "full"
+    out = integrate_jacobi(g, tr, J0, J0dot)
     assert out.meta["constraint_defect"].shape == (601, 1)
     assert out.meta["constraint_defect_sup"] < 1e-9
     # incompatible data: the defect is frozen at its initial value
     J0dot[4] += 0.5
-    out2 = integrate_jacobi(g, tr, J0, J0dot, mode="full")
+    out2 = integrate_jacobi(g, tr, J0, J0dot)
     defect = out2.meta["constraint_defect"]
     assert np.abs(defect - defect[0]).max() < 1e-9
     assert abs(defect[0, 0] - 0.5) < 1e-12
