@@ -2,7 +2,8 @@
 
 One process runs one command against one group; outputs are plain text
 (header + numeric rows for traces and point clouds, key: value lines for
-reports) or JSON, written to --out or stdout. Exit codes: 0 success, 2
+reports) or JSON, written to --out or stdout; diagnostic lines go to
+stderr, so stdout carries only the requested output. Exit codes: 0 success, 2
 configuration problems, 3 violated mathematical preconditions (wrong step,
 characteristic points, off-surface queries), 4 solver non-convergence.
 Every command is deterministic for a fixed argument list and seed.
@@ -34,7 +35,7 @@ from .errors import (
     ZeroGradient,
 )
 from .expmap import ClosedFormPath
-from .geodesics import integrate_normal, integrate_stepwise
+from .geodesics import GeodesicTrace, integrate_normal, integrate_stepwise
 from .groups import engel, h1, hn, load_group
 from .surfaces import (
     build_chart,
@@ -156,7 +157,9 @@ def _report(pairs, fmt, out=None):
     else:
         lines = []
         for key, val in pairs:
-            if isinstance(val, float):
+            if isinstance(val, bool):
+                lines.append("%s: %s" % (key, str(val).lower()))
+            elif isinstance(val, float):
                 lines.append("%s: %.12g" % (key, val))
             elif isinstance(val, np.ndarray):
                 lines.append("%s: %s" % (key, ",".join("%.12g" % w for w in val)))
@@ -174,6 +177,13 @@ def _jsonable(obj):
     raise TypeError(str(type(obj)))
 
 
+def _emit_trace(trace, args):
+    _emit(
+        trace.as_json() + "\n" if args.format == "json" else trace.as_table(),
+        args.out,
+    )
+
+
 def cmd_geodesic(args):
     group = _resolve_group(args.group)
     x0 = _parse_vector(args.x0, group.n, "--x0")
@@ -181,21 +191,18 @@ def cmd_geodesic(args):
     if args.T <= 0.0 or args.steps < 1:
         raise ConfigError("need T > 0 and steps >= 1")
     if np.linalg.norm(P0[: group.h]) == 0.0:
-        print("warning: zero horizontal momentum: constant curve")
+        print("warning: zero horizontal momentum: constant curve", file=sys.stderr)
     if args.integrator == "stepwise":
         trace = integrate_stepwise(group, x0, P0, args.T, args.steps)
     else:
         trace = integrate_normal(group, x0, P0, args.T, args.steps)
-    _emit(
-        trace.as_json() + "\n" if args.format == "json" else trace.as_table(),
-        args.out,
-    )
+    _emit_trace(trace, args)
     for key in (
         "energy_drift_per_unit_time",
         "ph_norm_drift_per_unit_time",
         "top_layer_drift",
     ):
-        print("%s: %.6e" % (key, trace.meta[key]))
+        print("%s: %.6e" % (key, trace.meta[key]), file=sys.stderr)
     return 0
 
 
@@ -208,17 +215,8 @@ def cmd_exp(args):
     path = ClosedFormPath(group=group, x0=x0, P0=P0)
     times = np.linspace(0.0, args.T, args.samples)
     xs, ps = path.point(times, return_momentum=True)
-    cols = (
-        ["t"]
-        + ["x%d" % (i + 1) for i in range(group.n)]
-        + ["P%d" % (i + 1) for i in range(group.n)]
-    )
-    rows = [" ".join(cols)]
-    for t, x, p in zip(times, xs, ps):
-        rows.append(
-            " ".join("%.12e" % w for w in np.concatenate([[t], x, p]))
-        )
-    _emit("\n".join(rows) + "\n", args.out)
+    meta = {"group": group.name, "method": "closed-form"}
+    _emit_trace(GeodesicTrace(times, xs, ps, meta, group=group), args)
     return 0
 
 
@@ -233,8 +231,8 @@ def cmd_distance(args):
         [
             ("distance", sol.T),
             ("residual", sol.residual),
-            ("multiplicity", str(bool(sol.multiplicity)).lower()),
-            ("on_axis", str(bool(sol.on_axis)).lower()),
+            ("multiplicity", bool(sol.multiplicity)),
+            ("on_axis", bool(sol.on_axis)),
             ("P0", sol.P0),
         ],
         args.format,
@@ -273,7 +271,8 @@ def cmd_sphere(args):
         _emit(sample.as_table(), args.out)
     print(
         "retained: %d of %d swept; regular: %d"
-        % (len(sample), sample.swept, int(sample.regular.sum()))
+        % (len(sample), sample.swept, int(sample.regular.sum())),
+        file=sys.stderr,
     )
     return 0
 
@@ -307,6 +306,10 @@ def cmd_jacobi(args):
     trace = integrate_normal(group, x0, P0, args.T, args.steps)
     fld = integrate_jacobi(group, trace, Y0, Z0)
     Z = fld.meta["derivative"]
+    if args.format == "json":
+        blob = {"times": fld.times, "Y": fld.components, "dY": Z}
+        _emit(json.dumps(blob, indent=2, default=_jsonable) + "\n", args.out)
+        return 0
     cols = (
         ["t"]
         + ["Y%d" % (i + 1) for i in range(group.n)]
@@ -329,10 +332,7 @@ def cmd_orthogonality(args):
     if args.r <= 0.0 or args.steps < 1:
         raise ConfigError("need r > 0 and steps >= 1")
     trace = gauss_system_integrate(group, x0, nu, vp, args.r, steps=args.steps)
-    _emit(
-        trace.as_json() + "\n" if args.format == "json" else trace.as_table(),
-        args.out,
-    )
+    _emit_trace(trace, args)
     return 0
 
 
@@ -359,15 +359,15 @@ def cmd_surface_normals(args):
     data = surface_normals(group, field, x)
     if data.characteristic:
         _report(
-            [("characteristic", "true"), ("nu", data.nu)],
+            [("characteristic", True), ("nu", data.nu)],
             args.format,
             args.out,
         )
-        print("characteristic point: no horizontal normal")
+        print("characteristic point: no horizontal normal", file=sys.stderr)
         return 0
     _report(
         [
-            ("characteristic", "false"),
+            ("characteristic", False),
             ("nu", data.nu),
             ("nu_H", data.nuH),
             ("varpi", data.varpi),
@@ -390,10 +390,7 @@ def cmd_surface_metric_normal(args):
         samples=args.samples,
         sign=args.sign,
     )
-    _emit(
-        trace.as_json() + "\n" if args.format == "json" else trace.as_table(),
-        args.out,
-    )
+    _emit_trace(trace, args)
     return 0
 
 

@@ -27,10 +27,6 @@ class NotGenerating(CarnotError):
     """The first layer fails to bracket-generate some higher layer."""
 
 
-class UnsupportedStep(CarnotError):
-    """Operation only implemented for step <= 3 (or <= 2 where stated)."""
-
-
 class NonPositiveScale(CarnotError):
     """Dilations require a strictly positive scale factor."""
 

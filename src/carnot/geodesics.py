@@ -12,9 +12,9 @@ that could move them.
 ``integrate_normal`` is a fixed-step RK4 scheme over a uniform grid; initial
 data may carry leading batch axes, in which case the whole batch is advanced
 in lock step (the acceptance sweeps rely on this). ``integrate_stepwise``
-exploits the grading instead: for step 2 the horizontal momentum is an
-algebraic function of position, leaving an ODE in x alone; for step 3 the
-second-layer momentum is algebraic and only (x, P_H) is integrated.
+exploits the grading instead, on any step k: the momentum of layer k - 1 is
+an algebraic function of position, so only x and the momentum layers below
+k - 1 are integrated; on step 2 that leaves an ODE in x alone.
 
 Abnormal curves satisfy the mixed algebraic-differential system
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteState, TooFewSamples, UnsupportedStep
+from .errors import NonFiniteState, TooFewSamples
 from .groups import CarnotGroup, frame_apply
 
 __all__ = [
@@ -203,97 +203,43 @@ def integrate_normal(
     return GeodesicTrace(times, xs, ps, meta, group=group)
 
 
-def _stepwise_momentum(group: CarnotGroup, x0, P0, xs, phs=None):
-    """Reconstruct the full momentum along a stepwise trace."""
-    h = group.h
-    full = np.empty(xs.shape[:-1] + (group.n,))
-    full[..., h:] = P0[..., h:]
-    if group.step == 2:
-        CHz = np.einsum("...a,aij->...ij", P0[..., h:], group.CH)
-        full[..., :h] = P0[..., :h] - np.einsum(
-            "...ij,...j->...i", CHz, xs[..., :h] - x0[..., :h]
-        )
-    else:
-        full[..., :h] = phs
-        n2 = group.growth.offsets[1]
-        top = P0[..., h:].copy()
-        top[..., : n2 - h] = 0.0
-        Ctop = np.einsum("...a,aij->...ij", top, group.CV)
-        drift = np.einsum("...ij,...j->...i", Ctop, xs - x0)
-        full[..., h:n2] = P0[..., h:n2] - drift[..., h:n2]
-    return full
-
-
 def integrate_stepwise(
     group: CarnotGroup, x0, P0, T: float, steps: int
 ) -> GeodesicTrace:
-    """Layer-by-layer integration of the normal flow, step <= 3.
+    """Layer-by-layer integration of the normal flow, any step k.
 
-    Top-layer momentum is constant. For step 2 the horizontal momentum is
-    P_H(0) - C_H(P_V)(x_H(t) - x_H(0)), so only x is integrated. For step 3
-    the same identity expresses the second-layer momentum through x(t) and
-    the state shrinks to (x, P_H). Results land on the same uniform grid as
+    The top-layer momentum P_k is constant, and the grading makes the layer
+    below it algebraic: P_{k-1}(t) = P_{k-1}(0) - (C(P_k)(x(t) - x(0)))_{k-1}.
+    So RK4 advances x and only the momentum layers below k - 1; on step 2
+    that is x alone. Results land on the same uniform grid as
     ``integrate_normal`` for direct comparison.
     """
-    if group.step > 3:
-        raise UnsupportedStep(
-            f"stepwise integration covers step <= 3, group has step {group.step}"
-        )
     x0 = group.point(np.asarray(x0, dtype=float))
     P0 = group.point(np.asarray(P0, dtype=float))
     shape = np.broadcast_shapes(x0.shape, P0.shape)
-    x0 = np.broadcast_to(x0, shape).copy()
-    P0 = np.broadcast_to(P0, shape).copy()
-    h = group.h
+    x0 = np.broadcast_to(x0, shape)
+    P0 = np.broadcast_to(P0, shape)
+    n, k = group.n, group.step
+    # P[:lo] is integrated, P[lo:hi] algebraic; on step 1 both are empty
+    lo = group.growth.layer_slice(max(k - 1, 1)).start
+    hi = group.growth.layer_slice(k).start
+    Ctop = np.einsum("...a,aij->...ij", P0[..., hi:], group.C[hi:, lo:hi])
 
-    if group.step == 1:
-        times = np.linspace(0.0, float(T), int(steps) + 1)
-        tcol = times.reshape((-1,) + (1,) * x0.ndim)
-        xs = x0 + tcol * P0
-        ps = np.broadcast_to(P0, xs.shape).copy()
-        meta = {"group": group.name, "method": "stepwise", "steps": int(steps)}
-        return GeodesicTrace(times, xs, ps, meta, group=group)
+    def momentum(x, p_low):
+        P = np.broadcast_to(P0, x.shape).copy()
+        P[..., :lo] = p_low
+        P[..., lo:hi] -= np.einsum("...ij,...j->...i", Ctop, x - x0)
+        return P
 
-    if group.step == 2:
-        CHz = np.einsum("...a,aij->...ij", P0[..., h:], group.CH)
+    def rhs(y):
+        x = y[..., :n]
+        dx, dP = normal_rhs(group, x, momentum(x, y[..., n:]))
+        return np.concatenate([dx, dP[..., :lo]], axis=-1)
 
-        def rhs(x):
-            PH = np.zeros(x.shape)
-            PH[..., :h] = P0[..., :h] - np.einsum(
-                "...ij,...j->...i", CHz, x[..., :h] - x0[..., :h]
-            )
-            return frame_apply(group, x, PH)
-
-        times, xs = _rk4(rhs, x0, float(T), int(steps))
-        ps = _stepwise_momentum(group, x0, P0, xs)
-    else:
-        n2 = group.growth.offsets[1]
-        top = P0[..., h:].copy()
-        top[..., : n2 - h] = 0.0
-        Ctop = np.einsum("...a,aij->...ij", top, group.CV)
-
-        def rhs(y):
-            x, ph = y[..., 0, :], y[..., 1, :h]
-            PV = np.empty(x.shape[:-1] + (group.v,))
-            PV[...] = P0[..., h:]
-            drift = np.einsum("...ij,...j->...i", Ctop, x - x0)
-            PV[..., : n2 - h] = P0[..., h:n2] - drift[..., h:n2]
-            PH = np.zeros(x.shape)
-            PH[..., :h] = ph
-            dx = frame_apply(group, x, PH)
-            dph = -np.einsum("aij,...a,...j->...i", group.CV, PV, PH)[..., :h]
-            dy = np.zeros(y.shape)
-            dy[..., 0, :] = dx
-            dy[..., 1, :h] = dph
-            return dy
-
-        y0 = np.zeros(shape[:-1] + (2, group.n))
-        y0[..., 0, :] = x0
-        y0[..., 1, :h] = P0[..., :h]
-        times, ys = _rk4(rhs, y0, float(T), int(steps))
-        xs = ys[..., 0, :]
-        ps = _stepwise_momentum(group, x0, P0, xs, phs=ys[..., 1, :h])
-
+    y0 = np.concatenate([x0, P0[..., :lo]], axis=-1)
+    times, ys = _rk4(rhs, y0, float(T), int(steps))
+    xs = ys[..., :n]
+    ps = momentum(xs, ys[..., n:])
     meta = {
         "group": group.name,
         "method": "stepwise",

@@ -18,12 +18,19 @@ bracket form [x, y]_R = sum_{I,J} C[R][I][J] x_I y_J the series reads
 
     x * y = x + y + 1/2 [x, y] + 1/12 ([x, [x, y]] + [y, [y, x]]) + ...
 
-and is implemented in closed form for step <= 3. Our model convention for the
-first Heisenberg group is [e1, e2] = e3, which puts the familiar +-1/2
-coefficients in the product's third coordinate and the left-invariant frame
-X1 = e1 - (x2/2) e3, X2 = e2 + (x1/2) e3.
+and is summed by Varadarajan's recursion for its homogeneous parts (Lie
+Groups, Lie Algebras, and Their Representations, 1974, section 2.15). Our
+model convention for the first Heisenberg group is [e1, e2] = e3, which puts
+the familiar +-1/2 coefficients in the product's third coordinate and the
+left-invariant frame X1 = e1 - (x2/2) e3, X2 = e2 + (x1/2) e3.
 
 The left-invariant frame matrix L(x) has the fields X_I(x) as columns. It is
+the derivative of x * y in y at 0, the series
+
+    L(x) = ad_x / (1 - e^{-ad_x}) = I + 1/2 ad_x + 1/12 ad_x^2 - 1/720 ad_x^4 + ...
+
+with Bernoulli coefficients, and its inverse is the Neumann series of
+L - I. Both end at the step, because ad_x raises the layer. L(x) is
 unipotent lower block-triangular with respect to the layer grading, so
 det L(x) = 1 and Lebesgue measure is the Haar measure in these coordinates.
 """
@@ -32,7 +39,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate
+from fractions import Fraction
+from functools import cache
+from itertools import accumulate, combinations
+from math import factorial
 
 import numpy as np
 
@@ -42,7 +52,6 @@ from .errors import (
     NonPositiveScale,
     NotGenerating,
     SkewViolation,
-    UnsupportedStep,
 )
 
 __all__ = [
@@ -241,101 +250,118 @@ def build_group(growth, constants, name: str | None = None) -> CarnotGroup:
     return CarnotGroup(gv, C, name)
 
 
+@cache
+def _bernoulli(k: int) -> tuple:
+    """b_0, ..., b_k of z / (1 - e^{-z}) = sum_j b_j z^j: 1, 1/2, 1/12, 0, -1/720, ..."""
+    b = [Fraction(1)]
+    for m in range(1, k + 1):
+        b.append(-sum(b[m - j] * Fraction((-1) ** j, factorial(j + 1)) for j in range(1, m + 1)))
+    return tuple(float(c) for c in b)
+
+
+def _compositions(m: int, parts: int):
+    """Ordered tuples of ``parts`` positive integers that sum to m."""
+    for cuts in combinations(range(1, m), parts - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (m,)))
+
+
+def _bracket(group: CarnotGroup, a, b) -> np.ndarray:
+    """[a, b] as a full vector; its horizontal part is zero."""
+    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    out[..., group.h :] = np.einsum("bij,...i,...j->...b", group.CV, a, b)
+    return out
+
+
 def group_product(group: CarnotGroup, x, y) -> np.ndarray:
-    """BCH product x * y, closed form for step <= 3. Supports batching."""
-    if group.step > 3:
-        raise UnsupportedStep(
-            f"group product implemented for step <= 3, group has step {group.step}"
-        )
+    """BCH product x * y, summed up to the step. Supports batching.
+
+    Z_1 = x + y and Z_2 = [x, y]/2 start Varadarajan's recursion for the
+    homogeneous parts of log(e^x e^y),
+
+        (m+1) Z_{m+1} = [x - y, Z_m]/2
+                        + sum_p b_2p sum_{k_1+...+k_2p=m} [Z_k1, [..., [Z_k2p, x + y]]],
+
+    and every Z_m above the step vanishes.
+    """
     x = group.point(x)
     y = group.point(y)
-    z = x + y
-    if group.step == 1:
-        return z
-    h = group.h
-    # <C^b x, y> = sum_{IJ} C[b,I,J] y_I x_J; skew makes this -[x,y]_b / 1
-    w = np.einsum("bij,...i,...j->...b", group.CV, y, x)
-    corr = 0.5 * w
-    if group.step == 3:
-        q = np.einsum("aij,...i,...j->...a", group.CH, y[..., :h], x[..., :h])
-        n2 = group.growth.offsets[1]
-        rows = group.CV[:, h:n2, :]  # alpha-rows of each C^b
-        M = np.einsum("baj,...j->...ba", rows, x - y)
-        corr = corr - np.einsum("...ba,...a->...b", M, q) / 12.0
-    z[..., h:] -= corr
+    b = _bernoulli(group.step)
+    Z = [x + y, -0.5 * _bracket(group, y, x)]
+    for m in range(2, group.step):
+        acc = 0.5 * _bracket(group, x - y, Z[m - 1])
+        for p in range(2, m + 1, 2):
+            for ks in _compositions(m, p):
+                if ks[-1] == 1:
+                    continue  # [Z_1, x + y] = 0
+                inner = Z[0]
+                for k in reversed(ks):
+                    inner = _bracket(group, Z[k - 1], inner)
+                acc = acc + b[p] * inner
+        Z.append(acc / (m + 1))
+    z = Z[0]
+    for part in Z[1:]:
+        z[..., group.h :] += part[..., group.h :]
     return z
 
 
 def left_frame(group: CarnotGroup, x) -> np.ndarray:
-    """Frame matrix L(x) with columns X_I(x); det L = 1. Supports batching."""
-    if group.step > 3:
-        raise UnsupportedStep(
-            f"frame implemented for step <= 3, group has step {group.step}"
-        )
+    """Frame matrix L(x) with columns X_I(x); det L = 1. Supports batching.
+
+    L(x) = I + sum_k (-1)^k b_k D^k, with D the matrix of v -> [v, x].
+    """
     x = group.point(x)
     n, h = group.n, group.h
-    L = np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)).copy()
-    if group.step == 1:
-        return L
-    CBx = np.einsum("bij,...j->...bi", group.CV, x)  # (C^b x)_I
-    L[..., h:, :] -= 0.5 * CBx
-    if group.step == 3:
-        n2 = group.growth.offsets[1]
-        CHx = np.einsum("aij,...j->...ai", group.CH, x[..., :h])
-        L[..., h:, :h] += np.einsum(
-            "...ba,...ai->...bi", CBx[..., :, h:n2], CHx
-        ) / 12.0
+    b = _bernoulli(group.step)
+    D = np.zeros(x.shape[:-1] + (n, n))
+    D[..., h:, :] = np.einsum("bij,...j->...bi", group.CV, x)  # (C^b x)_I
+    L = np.broadcast_to(np.eye(n), D.shape).copy()
+    L += -b[1] * D
+    Dk = D
+    for k in range(2, group.step):
+        Dk = Dk @ D
+        L += (-1) ** k * b[k] * Dk
     return L
 
 
 def _nilpotent_apply(group: CarnotGroup, x, w) -> np.ndarray:
-    """N(x) w where L(x) = I + N(x); result has vertical rows only."""
+    """N(x) w where L(x) = I + N(x); result has vertical rows only.
+
+    N(x) w = sum_{k=1}^{s-1} b_k ad_x^k w. Each term brackets the previous
+    one with x on the right, [v, x] = -ad_x v, so the signs alternate.
+    """
     h = group.h
-    add = -0.5 * np.einsum("bij,...i,...j->...b", group.CV, w, x)
-    if group.step == 3:
-        n2 = group.growth.offsets[1]
-        CBx = np.einsum("baj,...j->...ba", group.CV[:, h:n2, :], x)
-        CHxw = np.einsum("aij,...j,...i->...a", group.CH, x[..., :h], w[..., :h])
-        add = add + np.einsum("...ba,...a->...b", CBx, CHxw) / 12.0
-    return add
+    b = _bernoulli(group.step)
+    term = np.einsum("bij,...i,...j->...b", group.CV, w, x)
+    out = -b[1] * term
+    for k in range(2, group.step):
+        term = np.einsum("bij,...i,...j->...b", group.CV[:, h:, :], term, x)
+        out = out + (-1) ** k * b[k] * term
+    return out
 
 
 def frame_apply(group: CarnotGroup, x, w) -> np.ndarray:
     """L(x) w without forming the frame matrix. Supports batching."""
-    if group.step > 3:
-        raise UnsupportedStep(
-            f"frame implemented for step <= 3, group has step {group.step}"
-        )
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     shape = np.broadcast_shapes(x.shape, w.shape)
     out = np.broadcast_to(w, shape).copy()
-    if group.step == 1:
-        return out
     out[..., group.h :] += _nilpotent_apply(group, x, w)
     return out
 
 
 def frame_solve(group: CarnotGroup, x, w) -> np.ndarray:
     """L(x)^{-1} w, exact: the frame is unipotent, so the Neumann series
-    I - N + N^2 terminates at the step."""
-    if group.step > 3:
-        raise UnsupportedStep(
-            f"frame implemented for step <= 3, group has step {group.step}"
-        )
+    sum_k (-N)^k w terminates at the step."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     shape = np.broadcast_shapes(x.shape, w.shape)
     out = np.broadcast_to(w, shape).copy()
-    if group.step == 1:
-        return out
-    h = group.h
-    nw = _nilpotent_apply(group, x, np.broadcast_to(w, shape))
-    out[..., h:] -= nw
-    if group.step == 3:
-        padded = np.zeros(shape)
-        padded[..., h:] = nw
-        out[..., h:] += _nilpotent_apply(group, x, padded)
+    term = np.broadcast_to(w, shape)
+    for _ in range(1, group.step):
+        nw = -_nilpotent_apply(group, x, term)
+        out[..., group.h :] += nw
+        term = np.zeros(shape)
+        term[..., group.h :] = nw
     return out
 
 

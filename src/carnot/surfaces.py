@@ -37,9 +37,9 @@ from .errors import (
     OutsideChart,
     ZeroGradient,
 )
-from .expmap import ClosedFormPath, exp_matrix, require_step2
+from .expmap import ClosedFormPath, require_step2
 from .geodesics import GeodesicTrace
-from .groups import CarnotGroup, c_operator, left_frame
+from .groups import CarnotGroup, left_frame
 
 __all__ = [
     "HypersurfaceField",
@@ -579,20 +579,15 @@ def grad_delta_H(chart, x, **kw):
     """Frame gradient of delta_H as the transported normal covector.
 
     No differencing: grad delta_H at x = Phi(y, t) equals
-    sign(t) (e^{-C_H(varpi(y)) t} nu_H(y), varpi(y)); its horizontal norm
-    is 1 by construction (the eikonal property).
+    sign(t) (e^{-C_H(varpi(y)) t} nu_H(y), varpi(y)), the momentum at time t
+    of the metric normal through y; its horizontal norm is 1 by construction
+    (the eikonal property).
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     res = project_to_surface(chart, np.atleast_2d(x), **kw)
     group = chart.group
-    out = np.empty((np.atleast_2d(x).shape[0], group.n))
-    ys = np.atleast_2d(res.y)
-    ts = np.atleast_1d(res.t)
-    for k in range(out.shape[0]):
-        data = surface_normals(group, chart.field, ys[k])
-        M = c_operator(group, data.varpi, horizontal=True)
-        gh = exp_matrix(M, float(ts[k])) @ data.nuH
-        sgn = 1.0 if ts[k] >= 0.0 else -1.0
-        out[k] = sgn * np.concatenate([gh, data.varpi])
-    return out[0] if single else out
+    _, nuH, varpi, _, _ = _normal_split(group, frame_gradient(group, chart.field, res.y))
+    N = np.concatenate([nuH, varpi], axis=-1)
+    _, P = ClosedFormPath(group=group, x0=res.y, P0=N).point(res.t, return_momentum=True)
+    out = np.where(res.t >= 0.0, 1.0, -1.0)[:, None] * P
+    return out[0] if x.ndim == 1 else out

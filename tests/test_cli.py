@@ -65,25 +65,25 @@ def test_bad_vector_width(capsys):
 
 def test_geodesic_trace_and_diagnostics(capsys, tmp_path):
     out_file = tmp_path / "trace.txt"
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "geodesic", "--group", "h1", "--x0", "0,0,0",
         "--p0", "1,0,0.5", "--T", "6.283", "--steps", "500",
         "--out", str(out_file),
     )
-    assert code == 0
-    assert float(report_value(out, "ph_norm_drift_per_unit_time")) < 1e-9
+    assert code == 0 and out == ""
+    assert float(report_value(err, "ph_norm_drift_per_unit_time")) < 1e-9
     lines = out_file.read_text().strip().split("\n")
     assert lines[0].split() == ["t", "x1", "x2", "x3", "P1", "P2", "P3"]
     assert len(lines) == 502
 
 
 def test_geodesic_vertical_momentum_warns(capsys):
-    code, out, _ = run(
+    code, _, err = run(
         capsys, "geodesic", "--group", "h1", "--x0", "0,0,0",
         "--p0", "0,0,2", "--T", "1", "--steps", "10",
     )
     assert code == 0
-    assert "constant curve" in out
+    assert "constant curve" in err
 
 
 def test_exp_table(capsys):
@@ -122,14 +122,14 @@ def test_jacobi_table(capsys):
 
 
 def test_sphere_cloud(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "sphere", "--group", "h1", "--center", "0,0,0",
         "--radius", "1", "--n-dirs", "8", "--n-vert", "5", "--starts", "8",
     )
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0].split()[0] == "x1"
-    assert "retained:" in lines[-1]
+    assert "retained:" in err and "retained:" not in out
 
 
 def test_orthogonality_trace(capsys):
@@ -161,13 +161,19 @@ def test_surface_delta_hyperplane(capsys):
 
 
 def test_surface_normals_characteristic(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "surface", "normals", "--group", "h1", "--f", "x3",
         "--at", "0,0,0",
     )
     assert code == 0
     assert report_value(out, "characteristic") == "true"
-    assert "characteristic point" in out
+    assert "characteristic point" in err
+    code, out, err = run(
+        capsys, "surface", "normals", "--group", "h1", "--f", "x3",
+        "--at", "0,0,0", "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["characteristic"] is True
+    assert "characteristic point" in err
 
 
 def test_surface_normals_values(capsys):
@@ -227,7 +233,27 @@ def test_json_format(capsys):
     assert code == 0
     blob = json.loads(out)
     assert abs(blob["distance"] - 1.0) < 1e-9
-    assert blob["multiplicity"] == "false"
+    assert blob["multiplicity"] is False and blob["on_axis"] is False
+
+
+def test_json_format_prints_one_document(capsys):
+    commands = [
+        ["distance", "--group", "h1", "--from", "0,0,0", "--to", "0.3,0.2,0.1"],
+        ["exp", "--group", "h1", "--x0", "0,0,0", "--p0", "1,0,0.5",
+         "--T", "1", "--samples", "5"],
+        ["geodesic", "--group", "engel", "--x0", "0,0,0,0",
+         "--p0", "0.6,0.8,0.3,-0.2", "--T", "1", "--steps", "20"],
+        ["sphere", "--group", "h1", "--center", "0,0,0", "--radius", "1",
+         "--n-dirs", "8", "--n-vert", "5", "--starts", "8"],
+        ["surface", "project", "--group", "h1", "--f", "x1-0.5*x2",
+         "--at", "0.4,0.1,-0.05"],
+        ["jacobi", "--group", "h1", "--x0", "0,0,0", "--p0", "1,0,1",
+         "--y0", "0,0,0", "--ydot0", "0,1,0", "--T", "1", "--steps", "10"],
+    ]
+    for argv in commands:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert isinstance(json.loads(out), dict), argv
 
 
 def test_repeated_runs_identical(capsys):

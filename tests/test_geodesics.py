@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from carnot.errors import NonFiniteState, TooFewSamples, UnsupportedStep
+from carnot.errors import NonFiniteState, TooFewSamples
 from carnot.geodesics import (
     GeodesicTrace,
     MomentumState,
@@ -43,9 +43,24 @@ def h1_orbit(lam, t):
     return x, p
 
 
+def step4_groups():
+    """The filiform (2, 1, 1, 1) group and the free (2, 1, 2, 3) group."""
+    filiform = [(3, 1, 2, 1.0), (4, 1, 3, 1.0), (5, 1, 4, 1.0)]
+    free = [
+        (3, 1, 2, 1.0),
+        (4, 1, 3, 1.0),
+        (5, 2, 3, 1.0),
+        (6, 1, 4, 1.0),
+        (7, 2, 4, 1.0),
+        (7, 1, 5, 1.0),
+        (8, 2, 5, 1.0),
+    ]
+    return build_group((2, 1, 1, 1), filiform), build_group((2, 1, 2, 3), free)
+
+
 def test_frame_apply_matches_matrix():
     rng = np.random.default_rng(1)
-    for g in (h1(), engel(), hn(2), random_two_step(5, 2, rng)):
+    for g in (h1(), engel(), hn(2), random_two_step(5, 2, rng), *step4_groups()):
         x = rng.standard_normal(g.n)
         w = rng.standard_normal(g.n)
         np.testing.assert_allclose(
@@ -129,11 +144,10 @@ def test_stepwise_matches_normal_2step():
 
 
 def test_stepwise_matches_normal_engel():
-    g = engel()
     rng = np.random.default_rng(33)
-    for _ in range(5):
-        P0 = rng.standard_normal(4)
-        x0 = rng.standard_normal(4) * 0.3
+    for g in (engel(), *step4_groups()):
+        draws = [(rng.standard_normal(g.n), rng.standard_normal(g.n) * 0.3) for _ in range(5)]
+        P0, x0 = (np.stack(col) for col in zip(*draws))
         a = integrate_normal(g, x0, P0, 1.0, 1000)
         b = integrate_stepwise(g, x0, P0, 1.0, 1000)
         assert np.max(np.abs(a.xs - b.xs)) < 1e-8
@@ -144,14 +158,6 @@ def test_stepwise_abelian():
     g = build_group((3,), [])
     tr = integrate_stepwise(g, np.zeros(3), [1.0, 2.0, -1.0], 2.0, 10)
     np.testing.assert_allclose(tr.xs[-1], [2.0, 4.0, -2.0], atol=1e-14)
-
-
-def test_stepwise_rejects_step4():
-    g = build_group(
-        (2, 1, 1, 1), [(3, 1, 2, 1.0), (4, 1, 3, 1.0), (5, 1, 4, 1.0)]
-    )
-    with pytest.raises(UnsupportedStep):
-        integrate_stepwise(g, np.zeros(5), np.ones(5), 1.0, 10)
 
 
 def test_nonfinite_detection():

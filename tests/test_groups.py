@@ -13,7 +13,6 @@ from carnot.errors import (
     NonPositiveScale,
     NotGenerating,
     SkewViolation,
-    UnsupportedStep,
 )
 from carnot.groups import (
     GrowthVector,
@@ -40,9 +39,26 @@ THREE_STEP_CONSTS = [
     (7, 2, 5, 1.0),
 ]
 
-# Filiform 4-step chain [e1, e_i] = e_{i+1}; valid algebra, unsupported for
-# the closed-form product and frame.
+# Filiform 4-step chain [e1, e_i] = e_{i+1}.
 FILIFORM4_CONSTS = [(3, 1, 2, 1.0), (4, 1, 3, 1.0), (5, 1, 4, 1.0)]
+
+# Free 4-step group on growth (2, 1, 2, 3), basis of iterated brackets of e1, e2.
+FREE2123_CONSTS = [
+    (3, 1, 2, 1.0),
+    (4, 1, 3, 1.0),
+    (5, 2, 3, 1.0),
+    (6, 1, 4, 1.0),
+    (7, 2, 4, 1.0),
+    (7, 1, 5, 1.0),
+    (8, 2, 5, 1.0),
+]
+
+
+def step4_groups():
+    return (
+        build_group((2, 1, 1, 1), FILIFORM4_CONSTS),
+        build_group((2, 1, 2, 3), FREE2123_CONSTS),
+    )
 
 
 def test_growth_vector_bookkeeping():
@@ -93,7 +109,8 @@ def test_h2_product_oracle():
 
 def test_identity_and_inverse():
     rng = np.random.default_rng(7)
-    for g in (h1(), hn(3), engel(), build_group((3, 3, 1), THREE_STEP_CONSTS)):
+    three = build_group((3, 3, 1), THREE_STEP_CONSTS)
+    for g in (h1(), hn(3), engel(), three, *step4_groups()):
         e = np.zeros(g.n)
         for _ in range(5):
             x = rng.standard_normal(g.n)
@@ -106,7 +123,8 @@ def test_identity_and_inverse():
 
 def test_associativity():
     rng = np.random.default_rng(11)
-    for g in (h1(), hn(2), engel(), build_group((3, 3, 1), THREE_STEP_CONSTS)):
+    three = build_group((3, 3, 1), THREE_STEP_CONSTS)
+    for g in (h1(), hn(2), engel(), three, *step4_groups()):
         for _ in range(20):
             x, y, z = rng.standard_normal((3, g.n))
             left = group_product(g, group_product(g, x, y), z)
@@ -147,7 +165,8 @@ def test_frame_matches_product_derivative():
     # columns of L(x) are d/dt|_0 of x * (t e_I)
     rng = np.random.default_rng(5)
     eps = 1e-6
-    for g in (h1(), hn(2), engel(), build_group((3, 3, 1), THREE_STEP_CONSTS)):
+    three = build_group((3, 3, 1), THREE_STEP_CONSTS)
+    for g in (h1(), hn(2), engel(), three, *step4_groups()):
         for _ in range(5):
             x = rng.standard_normal(g.n)
             L = left_frame(g, x)
@@ -183,7 +202,7 @@ def test_frame_brackets_match_tensor():
 
 def test_frame_determinant_is_one():
     rng = np.random.default_rng(17)
-    for g in (h1(), hn(3), engel(), random_two_step(5, 3, rng)):
+    for g in (h1(), hn(3), engel(), random_two_step(5, 3, rng), *step4_groups()):
         pts = rng.standard_normal((8, g.n)) * 2.0
         dets = np.linalg.det(left_frame(g, pts))
         np.testing.assert_allclose(dets, 1.0, atol=1e-12)
@@ -250,13 +269,17 @@ def test_build_group_not_generating():
         build_group((2, 2), [(4, 1, 2, 1.0)])
 
 
-def test_unsupported_step():
-    g = build_group((2, 1, 1, 1), FILIFORM4_CONSTS)
-    assert g.step == 4
-    with pytest.raises(UnsupportedStep):
-        group_product(g, np.zeros(5), np.zeros(5))
-    with pytest.raises(UnsupportedStep):
-        left_frame(g, np.zeros(5))
+def test_filiform_product_and_frame_oracle():
+    # On the 6-step filiform chain [e1, e_k] = e_{k+1}, brackets with two e2
+    # vanish, so e1 * e2 = e1 + L(e1) e2 and L(e1) e2 = sum_k b_k ad_{e1}^k e2
+    # carries the coefficients of z / (1 - e^{-z}): 1, 1/2, 1/12, 0, -1/720, 0.
+    consts = [(k + 1, 1, k, 1.0) for k in range(2, 7)]
+    g = build_group((2, 1, 1, 1, 1, 1), consts)
+    assert g.step == 6
+    e1, e2 = np.eye(7)[:2]
+    col = [0.0, 1.0, 0.5, 1.0 / 12.0, 0.0, -1.0 / 720.0, 0.0]
+    np.testing.assert_allclose(left_frame(g, e1)[:, 1], col, atol=1e-15)
+    np.testing.assert_allclose(group_product(g, e1, e2), e1 + col, atol=1e-15)
 
 
 def test_load_group_json(tmp_path):
