@@ -91,7 +91,20 @@ def _parse_vector(text, n, what):
         raise ConfigError(
             "%s needs %d comma-separated numbers, got %d" % (what, n, vals.size)
         )
+    if not np.isfinite(vals).all():
+        raise ConfigError("%s needs finite numbers, got %r" % (what, text))
     return vals
+
+
+def _finite(text):
+    """argparse type of the float options: nan and inf exit with code 2."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = np.nan
+    if not np.isfinite(val):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return val
 
 
 _FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -453,7 +466,7 @@ def _build_parser():
     _add_common(g)
     g.add_argument("--x0", required=True)
     g.add_argument("--p0", required=True)
-    g.add_argument("--T", type=float, required=True)
+    g.add_argument("--T", type=_finite, required=True)
     g.add_argument("--steps", type=int, default=2000)
     g.add_argument(
         "--integrator", choices=("normal", "stepwise"), default="normal"
@@ -464,7 +477,7 @@ def _build_parser():
     _add_common(e)
     e.add_argument("--x0", required=True)
     e.add_argument("--p0", required=True)
-    e.add_argument("--T", type=float, required=True)
+    e.add_argument("--T", type=_finite, required=True)
     e.add_argument("--samples", type=int, default=101)
     e.set_defaults(func=cmd_exp)
 
@@ -479,7 +492,7 @@ def _build_parser():
     s = sub.add_parser("sphere", help="sample a CC-sphere point cloud")
     _add_common(s)
     s.add_argument("--center", required=True)
-    s.add_argument("--radius", type=float, required=True)
+    s.add_argument("--radius", type=_finite, required=True)
     s.add_argument("--n-dirs", type=int, default=24)
     s.add_argument("--n-vert", type=int, default=9)
     s.add_argument("--starts", type=int, default=12)
@@ -490,7 +503,7 @@ def _build_parser():
     _add_common(c)
     c.add_argument("--x0", required=True)
     c.add_argument("--p0", required=True)
-    c.add_argument("--t-max", type=float, required=True)
+    c.add_argument("--t-max", type=_finite, required=True)
     c.add_argument("--samples", type=int, default=400)
     c.set_defaults(func=cmd_conjugate)
 
@@ -500,7 +513,7 @@ def _build_parser():
     j.add_argument("--p0", required=True)
     j.add_argument("--y0", required=True)
     j.add_argument("--ydot0", required=True)
-    j.add_argument("--T", type=float, default=1.0)
+    j.add_argument("--T", type=_finite, default=1.0)
     j.add_argument("--steps", type=int, default=1000)
     j.set_defaults(func=cmd_jacobi)
 
@@ -511,7 +524,7 @@ def _build_parser():
     o.add_argument("--x0", required=True)
     o.add_argument("--nu", required=True)
     o.add_argument("--varpi", required=True)
-    o.add_argument("--r", type=float, required=True)
+    o.add_argument("--r", type=_finite, required=True)
     o.add_argument("--steps", type=int, default=2000)
     o.set_defaults(func=cmd_orthogonality)
 
@@ -528,8 +541,8 @@ def _build_parser():
     _add_common(sm)
     sm.add_argument("--f", required=True)
     sm.add_argument("--at", required=True)
-    sm.add_argument("--t-min", type=float, default=-1.0)
-    sm.add_argument("--t-max", type=float, default=1.0)
+    sm.add_argument("--t-min", type=_finite, default=-1.0)
+    sm.add_argument("--t-max", type=_finite, default=1.0)
     sm.add_argument("--samples", type=int, default=201)
     sm.add_argument("--sign", type=int, choices=(-1, 1), default=1)
     sm.set_defaults(func=cmd_surface_metric_normal)
@@ -546,8 +559,8 @@ def _build_parser():
         sp.add_argument("--f", required=True)
         sp.add_argument("--at", required=True)
         sp.add_argument("--base", help="chart base point; default: projection")
-        sp.add_argument("--radius", type=float, default=1.0)
-        sp.add_argument("--eps0", type=float, default=1.0)
+        sp.add_argument("--radius", type=_finite, default=1.0)
+        sp.add_argument("--eps0", type=_finite, default=1.0)
         sp.set_defaults(func=fn)
 
     return p

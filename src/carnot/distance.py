@@ -53,11 +53,6 @@ runs agree to the bit. Any converged root only ever overestimates the
 distance, which is what makes the cheap certified lower bound (|y_H| <= L
 and |y_a| <= |C^a| L^2 / 4 from the signed-area form of the vertical
 displacement) useful for pruning brute-force sweeps.
-
-The orthogonality system integrator reproduces the normal flow in the
-(position, horizontal direction, vertical covector) variables; it exists as
-an assembly of its own so the coincidence of the two systems is a testable
-statement rather than a definition.
 """
 
 from dataclasses import dataclass, field
@@ -65,10 +60,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _trig
-from .errors import NoConvergence, NotUnit
+from .errors import NoConvergence, NonFiniteState, NotUnit
 from .expmap import ClosedFormPath, exp_sr_2step, require_step2, skew_canonical
-from .geodesics import GeodesicTrace, _conservation_meta, _rk4
-from .groups import CarnotGroup, c_operator, frame_apply, group_product
+from .geodesics import integrate_normal
+from .groups import CarnotGroup, c_operator, group_product
 
 __all__ = [
     "ShootingSolution",
@@ -96,6 +91,8 @@ TOP_REL = 1e-12
 # a root is dropped only for a conjugate time before (1 - CONJ_MARGIN) T,
 # so a minimizer that is conjugate exactly at its endpoint is kept
 CONJ_MARGIN = 1e-3
+# relative momentum step of the central-difference exponential Jacobian
+JAC_STEP = 1e-5
 
 # Start lattice of the corank >= 2 shooting solver (corank 1 is solved
 # exactly): (rotation of the primary direction, covector turn label)
@@ -155,10 +152,6 @@ class ShootingSolution:
                     "shooting covector misses |P_H| = 1 by %.3e" % dev
                 )
 
-    @property
-    def distance(self) -> float:
-        return self.T
-
 
 @dataclass
 class ShootingBatch:
@@ -195,16 +188,13 @@ def gauss_system_integrate(group, x0, nuH0, varpi0, r, steps=2000):
     """Integrate the orthogonality system (x, nu_H, varpi) for time r.
 
     The system is dx = L(x) nu_H, dnu_H = -C_H(varpi) nu_H (second-layer
-    slice of varpi only; higher layers have no horizontal blocks), and
-    dvarpi = the vertical rows of -C(varpi) nu_H. It is assembled here
-    directly in these variables, independently of the momentum-space flow,
-    precisely so that the equality of the two trajectories is a check and
-    not a tautology.
+    slice of varpi only) and dvarpi = the vertical rows of -C(varpi) nu_H.
+    Higher layers have no horizontal blocks, so this is the normal flow of
+    the covector P = (nu_H, varpi), integrated by ``integrate_normal``.
     """
-    x0 = group.point(np.asarray(x0, dtype=float))
     nuH0 = np.asarray(nuH0, dtype=float)
     varpi0 = np.asarray(varpi0, dtype=float)
-    h, v, n = group.h, group.v, group.n
+    h, v = group.h, group.v
     if nuH0.shape[-1] != h:
         raise ValueError("expected %d horizontal components" % h)
     if varpi0.shape[-1] != v:
@@ -212,37 +202,14 @@ def gauss_system_integrate(group, x0, nuH0, varpi0, r, steps=2000):
     dev = np.max(np.abs(np.linalg.norm(nuH0, axis=-1) - 1.0))
     if dev > UNIT_TOL:
         raise NotUnit("initial direction misses unit norm by %.3e" % dev)
-
-    h2 = group.CH.shape[0]
-
-    def rhs(y):
-        x, nu, vp = y[..., :n], y[..., n : n + h], y[..., n + h :]
-        PH = np.zeros(x.shape)
-        PH[..., :h] = nu
-        dx = frame_apply(group, x, PH)
-        dnu = -np.einsum("aij,...a,...j->...i", group.CH, vp[..., :h2], nu)
-        dvp = -np.einsum("aij,...a,...j->...i", group.CV, vp, PH)[..., h:]
-        return np.concatenate([dx, dnu, dvp], axis=-1)
-
-    shape = np.broadcast_shapes(x0.shape[:-1], nuH0.shape[:-1], varpi0.shape[:-1])
-    y0 = np.concatenate(
-        [
-            np.broadcast_to(x0, shape + (n,)),
-            np.broadcast_to(nuH0, shape + (h,)),
-            np.broadcast_to(varpi0, shape + (v,)),
-        ],
+    shape = np.broadcast_shapes(nuH0.shape[:-1], varpi0.shape[:-1])
+    P0 = np.concatenate(
+        [np.broadcast_to(nuH0, shape + (h,)), np.broadcast_to(varpi0, shape + (v,))],
         axis=-1,
     )
-    times, ys = _rk4(rhs, y0, float(r), int(steps))
-    xs = ys[..., :n]
-    ps = np.concatenate([ys[..., n : n + h], ys[..., n + h :]], axis=-1)
-    meta = {
-        "group": group.name,
-        "method": "rk4-orthogonality",
-        "steps": int(steps),
-        **_conservation_meta(group, times, xs, ps),
-    }
-    return GeodesicTrace(times, xs, ps, meta, group=group)
+    trace = integrate_normal(group, x0, P0, r, steps)
+    trace.meta["method"] = "rk4-orthogonality"
+    return trace
 
 
 def _tangent_basis(w):
@@ -324,11 +291,10 @@ def _start_grid(group, targets, starts):
 
 def _endpoints(group, w, eta, T):
     P0 = np.concatenate([w, eta], axis=-1)
-    path = ClosedFormPath(group=group, x0=np.zeros(group.n), P0=P0)
-    return path, path.point(T)
+    return ClosedFormPath(group=group, x0=np.zeros(group.n), P0=P0).point(T)
 
 
-def _shoot(group, targets, starts, max_iter, tol):
+def _shoot(group, targets, starts, max_iter):
     """Damped Gauss-Newton over all (target, start) tracks simultaneously.
 
     Returns per-track arrays of shape (m, starts): directions, covectors,
@@ -342,12 +308,12 @@ def _shoot(group, targets, starts, max_iter, tol):
     eta = eta0.reshape(K, v)
     T = T0.reshape(K)
     y = np.repeat(targets, starts, axis=0)
-    track_tol = tol * np.repeat(
+    track_tol = ROOT_TOL * np.repeat(
         np.maximum(1.0, np.linalg.norm(targets, axis=1)), starts
     )
 
     lam = np.full(K, 1e-3)
-    _, pts = _endpoints(group, w, eta, T)
+    pts = _endpoints(group, w, eta, T)
     F = pts - y
     fn = np.linalg.norm(F, axis=1)
     conv = fn <= track_tol
@@ -403,7 +369,7 @@ def _shoot(group, targets, starts, max_iter, tol):
         wc = wc / np.linalg.norm(wc, axis=-1, keepdims=True)
         ec = ea + delta[:, h - 1 : h - 1 + v]
         Tc = Ta * np.exp(np.clip(delta[:, -1], -1.5, 1.5))
-        _, ptsC = _endpoints(group, wc, ec, Tc)
+        ptsC = _endpoints(group, wc, ec, Tc)
         Fc = ptsC - ya
         fnc = np.linalg.norm(Fc, axis=1)
         better = np.isfinite(fnc) & (fnc < fna)
@@ -607,7 +573,7 @@ def _drop_past_conjugate(group, P0s, Ts, keep, turned):
             keep[i, same] = False
 
 
-def _minimizing_roots(group, targets, starts, max_iter, tol):
+def _minimizing_roots(group, targets, starts, max_iter):
     """Shoot at targets: (P0s, Ts, residuals, converged, kept, turned).
 
     ``turned`` marks converged roots with sigma_max(C_H(eta)) T >= 2 pi
@@ -615,7 +581,7 @@ def _minimizing_roots(group, targets, starts, max_iter, tol):
     points.
     """
     h = group.h
-    ws, etas, Ts, fns, convs = _shoot(group, targets, starts, max_iter, tol)
+    ws, etas, Ts, fns, convs = _shoot(group, targets, starts, max_iter)
     P0s = np.concatenate([ws, etas], axis=-1)
     sig = np.linalg.norm(
         c_operator(group, etas, horizontal=True), ord=2, axis=(-2, -1)
@@ -625,7 +591,7 @@ def _minimizing_roots(group, targets, starts, max_iter, tol):
     return P0s, Ts, fns, convs, keep, turned
 
 
-def _shooting(group, targets, starts, max_iter, tol):
+def _shooting(group, targets, starts, max_iter):
     """Minimizing shooting roots of z, and of -z where those of z are doubtful.
 
     -z is solved again when none of the smallest kept roots of z stays below
@@ -636,12 +602,12 @@ def _shooting(group, targets, starts, max_iter, tol):
     """
     n = group.n
     P0s, Ts, fns, convs, keep, turned = _minimizing_roots(
-        group, targets, starts, max_iter, tol
+        group, targets, starts, max_iter
     )
     retry = ~(_smallest(Ts, keep) & ~turned).any(axis=1)
     if retry.any():
         rP0, rT, rfn, _, rkeep, _ = _minimizing_roots(
-            group, -targets[retry], starts, max_iter, tol
+            group, -targets[retry], starts, max_iter
         )
         # a root of -z is the reversed geodesic of -(arrival covector) to z
         _, arrival = exp_sr_2step(
@@ -666,15 +632,24 @@ def _shooting(group, targets, starts, max_iter, tol):
     return Ts[rows, best], bestP, residual, mult, found
 
 
-def distance_batch(
-    group, x0, targets, starts=16, max_iter=60, tol=ROOT_TOL
-):
+def _reduce(group, x0, targets):
+    """Targets moved to the origin by left translation, z = (-x0) * y."""
+    x0 = group.point(np.asarray(x0, dtype=float))
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if targets.shape[-1] != group.n:
+        raise ValueError("expected targets with %d coordinates" % group.n)
+    if not (np.isfinite(x0).all() and np.isfinite(targets).all()):
+        raise NonFiniteState("distance needs finite base point and targets")
+    return group_product(group, -x0, targets)
+
+
+def distance_batch(group, x0, targets, starts=16, max_iter=60):
     """CC-distances from one base point to a batch of targets.
 
     Reduces every target to the origin by left translation. On corank-1
     groups each target is solved exactly (``starts`` and ``max_iter`` are
     not used) and counts as converged when the returned covector reaches it
-    within ``tol`` relative to max(1, |z|). On corank >= 2 the multi-start
+    within ROOT_TOL relative to max(1, |z|). On corank >= 2 the multi-start
     shooting solver runs on the whole batch; converged roots with a
     conjugate time before their arrival are dropped, a target with no
     converged root left, or whose smallest one has turned a full period of
@@ -688,15 +663,12 @@ def distance_batch(
     Targets left with no root carry their best residual and
     ``converged=False``: no start converged on z or on -z, or (corank >= 2)
     every converged root of both ran past a conjugate point. For them
-    ``solution(i)`` raises NoConvergence.
+    ``solution(i)`` raises NoConvergence. A NaN or infinite coordinate in
+    x0 or the targets raises NonFiniteState.
     """
     require_step2(group, "distance")
-    x0 = group.point(np.asarray(x0, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.shape[-1] != group.n:
-        raise ValueError("expected targets with %d coordinates" % group.n)
-    m = targets.shape[0]
-    reduced = group_product(group, -x0, targets)
+    reduced = _reduce(group, x0, targets)
+    m = reduced.shape[0]
     h, n = group.h, group.n
 
     T_out = np.zeros(m)
@@ -716,11 +688,9 @@ def distance_batch(
             T, P0, mult = _corank1(group, sub)
             reached = exp_sr_2step(group, np.zeros(n), P0, T)
             res = np.linalg.norm(reached - sub, axis=1)
-            found = res <= tol * np.maximum(1.0, np.linalg.norm(sub, axis=1))
+            found = res <= ROOT_TOL * np.maximum(1.0, np.linalg.norm(sub, axis=1))
         else:
-            T, P0, res, mult, found = _shooting(
-                group, sub, starts, max_iter, tol
-            )
+            T, P0, res, mult, found = _shooting(group, sub, starts, max_iter)
         sel = np.nonzero(todo)[0]
         T_out[sel] = np.where(found, T, 0.0)
         P_out[sel] = np.where(found[:, None], P0, P_out[sel])
@@ -739,10 +709,10 @@ def distance_batch(
     )
 
 
-def distance_point(group, x, y, starts=16, max_iter=60, tol=ROOT_TOL):
+def distance_point(group, x, y, starts=16, max_iter=60):
     """CC-distance between two points as a ShootingSolution (T = distance)."""
     batch = distance_batch(
-        group, x, np.asarray(y, dtype=float)[None, :], starts, max_iter, tol
+        group, x, np.asarray(y, dtype=float)[None, :], starts, max_iter
     )
     return batch.solution(0)
 
@@ -755,12 +725,10 @@ def distance_lower_bound(group, x0, targets):
     vertical displacement is half a signed-area integral with |x_H(s)| <= s).
     Inverting gives L >= max(|y_H|, 2 sqrt(|y_a| / |C^a|_2)). Used to prune
     brute-force sweeps: pruning by a true lower bound can never lose the
-    minimizer.
+    minimizer. A NaN or infinite coordinate raises NonFiniteState.
     """
     require_step2(group, "distance bounds")
-    x0 = group.point(np.asarray(x0, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    reduced = group_product(group, -x0, targets)
+    reduced = _reduce(group, x0, targets)
     h = group.h
     scales = np.linalg.svd(group.CH, compute_uv=False)[:, 0]
     vert = 2.0 * np.sqrt(np.abs(reduced[:, h:]) / scales).max(axis=1)
@@ -840,8 +808,6 @@ def sphere_sample(
     n_dirs=24,
     n_vert=9,
     starts=12,
-    max_iter=60,
-    tol=ROOT_TOL,
     seed=1234,
 ):
     """Sample the CC-sphere of radius r by sweeping the wave front.
@@ -873,12 +839,11 @@ def sphere_sample(
     else:
         edirs = rng.standard_normal((n_vert, v))
         edirs /= np.linalg.norm(edirs, axis=1, keepdims=True)
+    # C_H(e) != 0 for a unit e on a generating group, so omega > 0
     omega = np.linalg.svd(
         c_operator(group, edirs, horizontal=True), compute_uv=False
     )[:, 0]
-    etas = (mags * 1.25 * 2.0 * np.pi / (r * np.maximum(omega, 1e-12)))[
-        :, None
-    ] * edirs
+    etas = (mags * 1.25 * 2.0 * np.pi / (r * omega))[:, None] * edirs
 
     P0 = np.empty((n_dirs, n_vert, n))
     P0[..., :h] = dirs[:, None, :]
@@ -886,17 +851,13 @@ def sphere_sample(
     P0 = P0.reshape(-1, n)
     pts, P_arr = exp_sr_2step(group, x0, P0, r, return_momentum=True)
 
-    batch = distance_batch(
-        group, x0, pts, starts=starts, max_iter=max_iter, tol=tol
-    )
+    batch = distance_batch(group, x0, pts, starts=starts)
     keep = batch.converged & (np.abs(batch.T - r) < SPHERE_REL_TOL * r)
     # A covector that turns through a full period over the arc lands on the
     # cut locus to within the retention tolerance; the distance is kinked
-    # there and the point must not be reported as regular.
-    lam = np.linalg.svd(
-        c_operator(group, P0[:, h:], horizontal=True), compute_uv=False
-    )[:, 0]
-    inside = lam * r < 2.0 * np.pi * (1.0 - 1e-3)
+    # there and the point must not be reported as regular. Its turn
+    # sigma_max(C_H(eta)) r is 1.25 |mag| periods by construction.
+    inside = np.tile(1.25 * np.abs(mags) < 1.0 - 1e-3, n_dirs)
     regular = keep & ~batch.multiplicity & ~batch.on_axis & inside
     return SphereSample(
         x0=x0,
@@ -911,13 +872,13 @@ def sphere_sample(
     )
 
 
-def exp_jacobian_det(group, x0, P0, ts, step=1e-5):
+def exp_jacobian_det(group, x0, P0, ts):
     """det of the finite-difference momentum Jacobian of exp at times ts."""
     require_step2(group, "conjugate detection")
     x0 = group.point(np.asarray(x0, dtype=float))
     P0 = group.point(np.asarray(P0, dtype=float))
     n = group.n
-    steps = step * np.maximum(1.0, np.abs(P0))
+    steps = JAC_STEP * np.maximum(1.0, np.abs(P0))
     pert = np.concatenate([np.diag(steps), -np.diag(steps)]) + P0
     path = ClosedFormPath(group=group, x0=x0, P0=pert)
     ts = np.asarray(ts, dtype=float)
@@ -926,7 +887,7 @@ def exp_jacobian_det(group, x0, P0, ts, step=1e-5):
     return np.linalg.det(np.swapaxes(J, -1, -2))
 
 
-def conjugate_detect(group, x0, P0, t_max, samples=400, step=1e-5):
+def conjugate_detect(group, x0, P0, t_max, samples=400):
     """Times in (0, t_max] where the exponential's Jacobian degenerates.
 
     Scans the finite-difference Jacobian determinant on a uniform grid;
@@ -941,10 +902,10 @@ def conjugate_detect(group, x0, P0, t_max, samples=400, step=1e-5):
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     ts = np.linspace(0.0, float(t_max), int(samples) + 1)[1:]
-    det = exp_jacobian_det(group, x0, P0, ts, step=step)
+    det = exp_jacobian_det(group, x0, P0, ts)
 
     def detf(t):
-        return float(exp_jacobian_det(group, x0, P0, np.asarray([t]), step)[0])
+        return float(exp_jacobian_det(group, x0, P0, np.asarray([t]))[0])
 
     roots = []
     sign = np.sign(det)

@@ -39,8 +39,6 @@ __all__ = [
     "PeriodicityReport",
     "ClosedFormPath",
     "skew_canonical",
-    "exp_matrix",
-    "closed_form_path",
     "exp_sr_2step",
     "vertical_increment",
     "periodicity",
@@ -83,23 +81,6 @@ class SkewCanonicalForm:
     O: np.ndarray
     lambdas: np.ndarray
     nullity: int
-
-    @property
-    def pairs(self):
-        return len(self.lambdas)
-
-    @property
-    def dim(self):
-        return self.O.shape[0]
-
-    def block_matrix(self):
-        """The canonical form O^T M O assembled exactly from lambdas."""
-        h = self.dim
-        B = np.zeros((h, h))
-        for j, lam in enumerate(self.lambdas):
-            B[2 * j, 2 * j + 1] = lam
-            B[2 * j + 1, 2 * j] = -lam
-        return B
 
 
 def skew_canonical(M):
@@ -157,23 +138,6 @@ def skew_canonical(M):
     O = np.stack(cols, axis=1) if cols else np.zeros((h, 0))
     lam_arr = np.asarray([p[0] for p in pairs], dtype=float)
     return SkewCanonicalForm(O=O, lambdas=lam_arr, nullity=N)
-
-
-def exp_matrix(M, t):
-    """e^{-Mt} for skew M; orthogonal with unit determinant.
-
-    t may be a scalar or an array; the result gains t's shape in front of
-    the (h, h) matrix axes.
-    """
-    M = _check_skew(M)
-    h = M.shape[0]
-    t = np.asarray(t, dtype=float)
-    w, U = np.linalg.eigh(M.T @ M)
-    sigma = np.sqrt(np.clip(w, 0.0, None))
-    z = t[..., None] * sigma
-    cos_part = np.einsum("ip,...p,jp->...ij", U, np.cos(z), U)
-    sin_part = np.einsum("ik,kp,...p,jp->...ij", M, U, t[..., None] * _trig.sinc(z), U)
-    return cos_part - sin_part
 
 
 @dataclass
@@ -301,11 +265,6 @@ class ClosedFormPath:
         return clone
 
 
-def closed_form_path(group, x0, P0):
-    """Bind a (batch of) initial condition(s) into a reusable geodesic handle."""
-    return ClosedFormPath(group=group, x0=x0, P0=P0)
-
-
 def exp_sr_2step(group, x0, P0, t, return_momentum=False):
     """Evaluate the step-2 normal geodesic from (x0, P0) at time(s) t.
 
@@ -393,13 +352,17 @@ def _distinct_periods(form):
 
 
 def periodicity(group, P_H2, T):
-    """Analyze which horizontal momenta are T-periodic under covector P_H2."""
+    """Analyze which horizontal momenta are T-periodic under covector P_H2.
+
+    In the canonical form of M = C_H(P_H2), e^{-MT} - Id has the singular
+    values 2 |sin(lambda_j T / 2)|, twice per plane, and a zero for each
+    frozen direction; those below KERNEL_TOL count as unit eigenvalues.
+    """
     z = np.asarray(P_H2, dtype=float)
     M = c_operator(group, z, horizontal=True)
     form = skew_canonical(M)
-    E = exp_matrix(M, float(T))
-    s = np.linalg.svd(E - np.eye(group.h), compute_uv=False)
-    k = int(np.sum(s < KERNEL_TOL))
+    s = 2.0 * np.abs(np.sin(0.5 * form.lambdas * float(T)))
+    k = form.nullity + 2 * int(np.sum(s < KERNEL_TOL))
     return PeriodicityReport(
         T=float(T),
         rank_defect=k,

@@ -35,27 +35,12 @@ from .errors import NonFiniteState, TooFewSamples
 from .groups import CarnotGroup, frame_apply
 
 __all__ = [
-    "MomentumState",
     "GeodesicTrace",
     "normal_rhs",
     "integrate_normal",
     "integrate_stepwise",
     "abnormal_residual",
 ]
-
-
-@dataclass
-class MomentumState:
-    """Point on the cotangent bundle in exponential coordinates."""
-
-    x: np.ndarray
-    P: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.P = np.asarray(self.P, dtype=float)
-        if self.x.shape != self.P.shape:
-            raise ValueError("position and momentum shapes differ")
 
 
 @dataclass
@@ -75,9 +60,6 @@ class GeodesicTrace:
 
     def __len__(self):
         return len(self.times)
-
-    def state(self, i: int) -> MomentumState:
-        return MomentumState(self.xs[i], self.ps[i])
 
     def as_table(self) -> str:
         """Whitespace table: t, x1..xn, P1..Pn. Single trajectories only."""

@@ -22,8 +22,8 @@ at t = 0 has the closed form |g_H| / |grad f| when the surface is
 parameterized by a Euclidean-orthonormal tangent basis (the determinant
 contracts the geodesic velocity against the tangent cofactor, and only the
 horizontal momentum of the normal survives); phi_jacobian returns that
-value next to a finite-difference determinant so the identity stays a
-measurable statement.
+value next to a central-difference determinant with step PHI_FD_STEP so the
+identity stays a measurable statement.
 """
 
 from dataclasses import dataclass, field
@@ -61,20 +61,20 @@ __all__ = [
 
 CHARACTERISTIC_REL = 1e-10
 ON_SURFACE_TOL = 1e-9
-GRAD_FD_STEP = 1e-6
+PROBE = 5  # points per axis of the chart's (u, t) probe grid
+PHI_FD_STEP = 1e-4
 
 
 @dataclass
 class HypersurfaceField:
-    """Scalar surface function with an optional analytic gradient.
+    """Scalar surface function with its analytic coordinate gradient.
 
     Both evaluators must accept stacked points of shape (..., n) and
-    broadcast; without an analytic gradient the coordinate gradient falls
-    back to central differences with step 1e-6 (1 + |x|).
+    broadcast.
     """
 
     f: callable
-    grad: callable = None
+    grad: callable
     name: str = ""
 
     def value(self, x):
@@ -82,19 +82,8 @@ class HypersurfaceField:
 
     def coordinate_gradient(self, x):
         x = np.asarray(x, dtype=float)
-        if self.grad is not None:
-            g = np.asarray(self.grad(x), dtype=float)
-            return np.broadcast_to(g, x.shape).copy()
-        n = x.shape[-1]
-        s = GRAD_FD_STEP * (1.0 + np.linalg.norm(x, axis=-1))
-        out = np.empty(x.shape)
-        for i in range(n):
-            xp = x.copy()
-            xm = x.copy()
-            xp[..., i] += s
-            xm[..., i] -= s
-            out[..., i] = (self.value(xp) - self.value(xm)) / (2.0 * s)
-        return out
+        g = np.asarray(self.grad(x), dtype=float)
+        return np.broadcast_to(g, x.shape).copy()
 
 
 def coordinate_hyperplane(n, axis, offset=0.0):
@@ -279,7 +268,10 @@ class TubularChart:
     """Immutable two-sided tube chart around a non-characteristic patch.
 
     Surface parameters u live in the tangent basis E at the base point
-    (|u| <= radius); normal times t in (-eps0, eps0). All queries are pure.
+    (|u| <= radius); normal times t in (-eps0, eps0). Queries are not yet
+    pure functions of their point: ``surface_point`` projects a batch until
+    every point in it converges, so a point's last bits depend on the rest
+    of its batch (up to 1.1e-13 on h1 against one-at-a-time calls).
     """
 
     group: CarnotGroup
@@ -383,16 +375,14 @@ def _invert_batch(chart, xs, u0, t0, tol=1e-12, max_iter=60):
     return u, t, fn, conv
 
 
-def build_chart(
-    group, field, base, radius=0.5, eps0=0.5, probe=5, min_eps=None
-):
+def build_chart(group, field, base, radius=0.5, eps0=0.5):
     """Construct the tubular chart around a surface base point.
 
     The half-width starts at eps0 and is halved until a probe grid of
     forward-mapped (u, t) pairs inverts back to its own parameters from the
     standard starting guess; that is exactly the property later queries
     rely on. Probing also certifies the patch stays clear of the
-    characteristic set.
+    characteristic set. Below eps0 2^-12 it gives up with NoConvergence.
     """
     require_step2(group, "tubular chart")
     base = group.point(np.asarray(base, dtype=float))
@@ -406,16 +396,14 @@ def build_chart(
     n = group.n
     d = n - 1
 
-    if probe**d <= 4096:
-        axes = [np.linspace(-radius, radius, probe)] * d
+    if PROBE**d <= 4096:
+        axes = [np.linspace(-radius, radius, PROBE)] * d
         U = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     else:
         rng = np.random.default_rng(99)
         U = rng.uniform(-radius, radius, size=(2000, d))
-    tgrid = np.linspace(-0.9, 0.9, probe)
+    tgrid = np.linspace(-0.9, 0.9, PROBE)
 
-    if min_eps is None:
-        min_eps = eps0 * 2.0**-12
     eps = float(eps0)
     failures = 0
     while True:
@@ -442,7 +430,7 @@ def build_chart(
             return chart
         failures += 1
         eps *= 0.5
-        if eps < min_eps:
+        if eps < eps0 * 2.0**-12:
             raise NoConvergence(
                 "chart probe kept failing down to half-width %.3e" % eps
             )
@@ -489,7 +477,7 @@ class PhiJacobian:
     closed_form: float
 
 
-def phi_jacobian(chart, y, step=1e-4):
+def phi_jacobian(chart, y):
     """Jacobian determinant of Phi at (y, 0), finite-difference vs closed.
 
     The chart directions at y are taken Euclidean-orthonormal in the
@@ -517,13 +505,13 @@ def phi_jacobian(chart, y, step=1e-4):
     B = _householder_complement(gradf / np.linalg.norm(gradf))
     n = group.n
     cols = np.empty((n, n))
-    plus = _project_batch(chart.field, y + step * B.T)
-    minus = _project_batch(chart.field, y - step * B.T)
-    cols[:, : n - 1] = ((plus - minus) / (2.0 * step)).T
+    plus = _project_batch(chart.field, y + PHI_FD_STEP * B.T)
+    minus = _project_batch(chart.field, y - PHI_FD_STEP * B.T)
+    cols[:, : n - 1] = ((plus - minus) / (2.0 * PHI_FD_STEP)).T
     data = surface_normals(group, chart.field, y)
     path = ClosedFormPath(group=group, x0=y, P0=data.N)
-    two = path.point(np.array([step, -step]))
-    cols[:, n - 1] = (two[0] - two[1]) / (2.0 * step)
+    two = path.point(np.array([PHI_FD_STEP, -PHI_FD_STEP]))
+    cols[:, n - 1] = (two[0] - two[1]) / (2.0 * PHI_FD_STEP)
     return PhiJacobian(fd=float(abs(np.linalg.det(cols))), closed_form=float(closed))
 
 
@@ -540,7 +528,7 @@ class ProjectionResult:
         return iter((self.y, self.t))
 
 
-def project_to_surface(chart, x, tol=1e-12, max_iter=60):
+def project_to_surface(chart, x):
     """Invert Phi around the patch: nearest surface point and signed time.
 
     t carries the orientation sign (positive on the f > 0 side); |t| is the
@@ -554,7 +542,7 @@ def project_to_surface(chart, x, tol=1e-12, max_iter=60):
     if xs.shape[1] != chart.group.n:
         raise ValueError("expected %d coordinates" % chart.group.n)
     u0, t0 = _default_start(chart, xs)
-    u, t, fn, conv = _invert_batch(chart, xs, u0, t0, tol=tol, max_iter=max_iter)
+    u, t, fn, conv = _invert_batch(chart, xs, u0, t0)
     if not conv.all():
         raise NoConvergence(
             "chart inversion failed for %d of %d points; worst residual %.3e"
@@ -569,13 +557,13 @@ def project_to_surface(chart, x, tol=1e-12, max_iter=60):
     return ProjectionResult(y=ys, t=t, u=u, residual=fn)
 
 
-def delta_H(chart, x, **kw):
+def delta_H(chart, x):
     """Horizontal distance |t(x)| to the surface, valid inside the chart."""
-    res = project_to_surface(chart, x, **kw)
+    res = project_to_surface(chart, x)
     return abs(res.t) if np.isscalar(res.t) or np.ndim(res.t) == 0 else np.abs(res.t)
 
 
-def grad_delta_H(chart, x, **kw):
+def grad_delta_H(chart, x):
     """Frame gradient of delta_H as the transported normal covector.
 
     No differencing: grad delta_H at x = Phi(y, t) equals
@@ -584,7 +572,7 @@ def grad_delta_H(chart, x, **kw):
     (the eikonal property).
     """
     x = np.asarray(x, dtype=float)
-    res = project_to_surface(chart, np.atleast_2d(x), **kw)
+    res = project_to_surface(chart, np.atleast_2d(x))
     group = chart.group
     _, nuH, varpi, _, _ = _normal_split(group, frame_gradient(group, chart.field, res.y))
     N = np.concatenate([nuH, varpi], axis=-1)

@@ -45,6 +45,9 @@ from .groups import CarnotGroup, c_operator, frame_apply, frame_solve
 UNIT_SPEED_TOL = 1e-3
 MOMENTUM_SPEED_TOL = 1e-6
 ENDPOINT_TOL = 1e-4
+# homotopy parameter steps of the central differences in s
+FIRST_VARIATION_STEP = 1e-4
+SECOND_VARIATION_STEP = 1e-3
 
 
 @dataclass
@@ -213,14 +216,13 @@ def first_variation_check(
     trace: GeodesicTrace,
     Y,
     Q_V=None,
-    s_step: float = 1e-4,
 ) -> tuple[float, float]:
     """First variation of the action: printed formula vs finite differences.
 
     Returns (formula value, fd value).  The formula integrates
     <Q_V, u> - <Y, nabla_t u + dP_V/dt + C(P_V) u>; the finite-difference
     side perturbs the curve through the frame and the multiplier linearly
-    and central-differences the action at ``s_step``.
+    and central-differences the action at s = FIRST_VARIATION_STEP.
     """
     g = _resolve_group(trace, group)
     times, xs = trace.times, trace.xs
@@ -246,7 +248,7 @@ def first_variation_check(
     integrand = np.sum(q * u[:, h:], axis=1) - np.sum(Y * core, axis=1)
     formula = float(_simpson(integrand, dt))
 
-    s = float(s_step)
+    s = FIRST_VARIATION_STEP
     push = frame_apply(g, xs, Y)
     upper = _action(g, times, xs + s * push, pv + s * q, dt)
     lower = _action(g, times, xs - s * push, pv - s * q, dt)
@@ -259,7 +261,6 @@ def second_variation_check(
     Y,
     Q_V=None,
     mode: str = "general",
-    s_step: float = 1e-3,
 ) -> tuple[float, float]:
     """Second variation along a unit-speed normal geodesic.
 
@@ -296,7 +297,7 @@ def second_variation_check(
     conn = connection_data(g)
     gamma = conn.gamma
     covY = _covdiff(gamma, times, Y, u)
-    s = float(s_step)
+    s = SECOND_VARIATION_STEP
 
     if mode == "general":
         brYu = np.einsum("rij,mi,mj->mr", g.C, Y, u)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from carnot.cli import main
 
@@ -215,6 +216,32 @@ def test_surface_parser_rejects_degree_4(capsys):
     )
     assert code == 2
     assert "degree" in err
+
+
+def test_non_finite_arguments_exit_2(capsys):
+    code, out, err = run(
+        capsys, "distance", "--group", "h1", "--from", "0,0,0",
+        "--to", "nan,0,0",
+    )
+    assert code == 2 and out == ""
+    assert "finite" in err
+    for argv in (
+        ["exp", "--group", "h1", "--x0", "0,0,0", "--p0", "1,0,0", "--T", "nan"],
+        ["sphere", "--group", "h1", "--center", "0,0,0", "--radius", "inf"],
+        ["conjugate", "--group", "h1", "--x0", "0,0,0", "--p0", "1,0,1",
+         "--t-max=-inf"],
+        ["orthogonality", "--group", "h1", "--x0", "0,0,0", "--nu", "1,0",
+         "--varpi", "0", "--r", "nan"],
+        ["surface", "metric-normal", "--group", "h1", "--f", "x1",
+         "--at", "0,0,0", "--t-min", "nan"],
+        ["surface", "project", "--group", "h1", "--f", "x1",
+         "--at", "0,0,0", "--eps0", "inf"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err
 
 
 def test_surface_parser_rejects_junk(capsys):

@@ -20,10 +20,17 @@ from carnot.distance import (
     horizontal_distance_gradient,
     sphere_sample,
 )
-from carnot.errors import NoConvergence, NotUnit, WrongStep
+from carnot.errors import NoConvergence, NonFiniteState, NotUnit, WrongStep
 from carnot.expmap import exp_sr_2step, skew_canonical
-from carnot.geodesics import integrate_normal
-from carnot.groups import dilate, engel, group_product, h1, hn, random_two_step
+from carnot.groups import (
+    c_operator,
+    dilate,
+    engel,
+    group_product,
+    h1,
+    hn,
+    random_two_step,
+)
 
 TAN_Z_ROOT = 4.493409457909064  # first positive solution of tan z = z
 
@@ -195,7 +202,7 @@ def test_zero_target_and_base_point_shift():
     assert batch.converged[0] and batch.T[0] == 0.0
     sol = batch.solution(0)
     assert isinstance(sol, ShootingSolution)
-    assert sol.distance == 0.0
+    assert sol.T == 0.0
 
 
 def test_shooting_solution_unit_gate():
@@ -222,9 +229,11 @@ def test_gauss_system_matches_normal_flow():
         nu /= np.linalg.norm(nu)
         vp = rng.normal(size=g.v)
         a = gauss_system_integrate(g, x0, nu, vp, 1.4, steps=600)
-        b = integrate_normal(g, x0, np.concatenate([nu, vp]), 1.4, steps=600)
-        assert np.max(np.abs(a.xs - b.xs)) < 1e-10
-        assert np.max(np.abs(a.ps - b.ps)) < 1e-10
+        xs, ps = exp_sr_2step(
+            g, x0, np.concatenate([nu, vp]), a.times, return_momentum=True
+        )
+        assert np.max(np.abs(a.xs - xs)) < 1e-10
+        assert np.max(np.abs(a.ps - ps)) < 1e-10
         assert a.meta["method"] == "rk4-orthogonality"
 
 
@@ -247,6 +256,21 @@ def test_gauss_system_rejects_nonunit_direction():
         gauss_system_integrate(
             h1(), np.zeros(3), np.array([0.9, 0.0]), np.zeros(1), 1.0
         )
+
+
+def test_non_finite_points_raise():
+    # corank 2 used to end in numpy's LinAlgError, corank 1 in converged=False
+    for g in (h1(), random_two_step(3, 2, np.random.default_rng(10))):
+        ok = np.full(g.n, 0.5)
+        for bad in (np.nan, np.inf, -np.inf):
+            y = ok.copy()
+            y[-1] = bad
+            with pytest.raises(NonFiniteState):
+                distance_batch(g, ok, y)
+            with pytest.raises(NonFiniteState):
+                distance_point(g, y, ok)
+            with pytest.raises(NonFiniteState):
+                distance_lower_bound(g, ok, y)
 
 
 def test_unconverged_target_raises_with_residual():
@@ -300,6 +324,18 @@ def test_sphere_sample_h1():
     P0 = np.concatenate([sample.nu_H, sample.varpi], axis=1)
     again = exp_sr_2step(g, np.zeros(3), P0, r)
     assert np.max(np.abs(again - sample.points)) < 1e-12
+
+
+def test_sphere_regular_points_turn_less_than_a_period():
+    # a regular point's generating covector turns less than a full period
+    # of its fastest rotation over the radius
+    for g, n_dirs in ((h1(), 12), (hn(2), 8)):
+        r = 0.9
+        sample = sphere_sample(g, np.zeros(g.n), r, n_dirs=n_dirs, starts=10)
+        assert sample.regular.any()
+        M = c_operator(g, sample.varpi[sample.regular], horizontal=True)
+        sigma = np.linalg.svd(M, compute_uv=False)[:, 0]
+        assert (sigma * r < 2.0 * np.pi * (1.0 - 1e-3)).all()
 
 
 def test_sphere_beyond_first_period_dropped():

@@ -12,8 +12,7 @@ from carnot.errors import (
     ZeroCovector,
 )
 from carnot.expmap import (
-    closed_form_path,
-    exp_matrix,
+    ClosedFormPath,
     exp_sr_2step,
     minimal_periods,
     periodicity,
@@ -132,7 +131,9 @@ def test_invertible_generator_formula():
     M = c_operator(g, P0[4:], horizontal=True)
     for t in [0.6, 2.3]:
         xh = exp_sr_2step(g, x0, P0, t)[:4]
-        expected = x0[:4] + np.linalg.solve(M, (np.eye(4) - exp_matrix(M, t)) @ P0[:4])
+        w, V = np.linalg.eig(M)
+        E = (V * np.exp(-w * t)) @ np.linalg.inv(V)  # e^{-Mt}
+        expected = x0[:4] + np.linalg.solve(M, (np.eye(4) - E.real) @ P0[:4])
         assert np.max(np.abs(xh - expected)) < 1e-10
 
 
@@ -208,23 +209,13 @@ def test_wrong_step_rejected():
         exp_sr_2step(build_group((3,), []), np.zeros(3), np.ones(3), 1.0)
 
 
-def test_exp_matrix_rotation_and_group_laws():
-    lam = 0.8
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.max(np.abs(exp_matrix(lam * J, np.pi / lam) + np.eye(2))) < 1e-12
-    rng = np.random.default_rng(31)
-    A = rng.normal(size=(5, 5))
-    M = A - A.T
-    E = exp_matrix(M, 1.3)
-    assert np.max(np.abs(E @ E.T - np.eye(5))) < 1e-12
-    assert abs(np.linalg.det(E) - 1.0) < 1e-12
-    assert np.max(np.abs(E @ exp_matrix(M, -1.3) - np.eye(5))) < 1e-12
-    assert np.max(np.abs(exp_matrix(np.zeros((3, 3)), 2.0) - np.eye(3))) < 1e-15
-    stack = exp_matrix(M, np.array([0.0, 0.5, 1.0, 2.0]))
-    assert stack.shape == (4, 5, 5)
-    assert np.max(np.abs(stack[2] @ stack[2].T - np.eye(5))) < 1e-12
-    with pytest.raises(NotSkew):
-        exp_matrix(A, 1.0)
+def blocks(form):
+    """The canonical form O^T M O, assembled from the frequencies."""
+    h = form.O.shape[0]
+    B = np.zeros((h, h))
+    for j, lam in enumerate(form.lambdas):
+        B[2 * j, 2 * j + 1], B[2 * j + 1, 2 * j] = lam, -lam
+    return B
 
 
 def test_skew_canonical_reconstruction():
@@ -236,15 +227,15 @@ def test_skew_canonical_reconstruction():
         O = form.O
         assert np.max(np.abs(O.T @ O - np.eye(h))) < 1e-12
         scale = max(1.0, float(np.max(np.abs(M))))
-        assert np.max(np.abs(O.T @ M @ O - form.block_matrix())) < 1e-10 * scale
-        assert 2 * form.pairs + form.nullity == h
+        assert np.max(np.abs(O.T @ M @ O - blocks(form))) < 1e-10 * scale
+        assert 2 * form.lambdas.size + form.nullity == h
         lams = form.lambdas
         assert np.all(lams > 0.0)
         assert np.all(np.diff(lams) <= 1e-12)
         if h % 2 == 1:
             assert form.nullity >= 1
         freqs = np.abs(np.linalg.eigvals(M).imag)
-        top = np.sort(freqs)[::-1][: 2 * form.pairs : 2]
+        top = np.sort(freqs)[::-1][: 2 * form.lambdas.size : 2]
         assert np.max(np.abs(np.sort(top) - np.sort(lams))) < 1e-9 * scale
 
 
@@ -254,12 +245,12 @@ def test_skew_canonical_degenerate_and_zero():
     M[0, 1], M[1, 0] = lam, -lam
     M[2, 3], M[3, 2] = lam, -lam
     form = skew_canonical(M)
-    assert form.pairs == 2 and form.nullity == 0
+    assert form.lambdas.size == 2 and form.nullity == 0
     assert np.max(np.abs(form.lambdas - lam)) < 1e-12
-    assert np.max(np.abs(form.O.T @ M @ form.O - form.block_matrix())) < 1e-10
+    assert np.max(np.abs(form.O.T @ M @ form.O - blocks(form))) < 1e-10
 
     zero = skew_canonical(np.zeros((3, 3)))
-    assert zero.pairs == 0 and zero.nullity == 3
+    assert zero.lambdas.size == 0 and zero.nullity == 3
     assert np.max(np.abs(zero.O.T @ zero.O - np.eye(3))) < 1e-12
 
     with pytest.raises(NotSkew):
@@ -297,6 +288,23 @@ def test_periodicity_h2_and_bounds():
         assert generic.rank_defect == generic.nullity
 
 
+def test_periodicity_counts_unit_eigenvalues_of_the_flow():
+    # rank_defect against an SVD of e^{-MT} - Id built by eigendecomposition,
+    # at each minimal period, half of the first one and a generic time
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        g = random_two_step(5, 2, rng)
+        z = rng.normal(size=2)
+        w, V = np.linalg.eig(c_operator(g, z, horizontal=True))
+        periods = minimal_periods(g, z)
+        for T in periods + (0.5 * periods[0], 0.377146):
+            E = ((V * np.exp(-w * T)) @ np.linalg.inv(V)).real
+            s = np.linalg.svd(E - np.eye(5), compute_uv=False)
+            rep = periodicity(g, z, T)
+            assert rep.rank_defect == int(np.sum(s < 1e-8))
+            assert rep.nonconstant_dim == rep.rank_defect - rep.nullity
+
+
 def test_minimal_periods_zero_covector():
     with pytest.raises(ZeroCovector):
         minimal_periods(h1(), np.array([0.0]))
@@ -320,7 +328,7 @@ def test_vertical_increment_radial():
 
 def test_vertical_increment_closed_form():
     lam = 2.1
-    path = closed_form_path(h1(), np.zeros(3), np.array([1.0, 0.0, lam]))
+    path = ClosedFormPath(group=h1(), x0=np.zeros(3), P0=np.array([1.0, 0.0, lam]))
     val = vertical_increment(h1(), 3, path, t=2.0 * np.pi / lam)
     assert abs(val + 2.0 * np.pi / lam**2) < 1e-12
 
@@ -328,7 +336,7 @@ def test_vertical_increment_closed_form():
 def test_vertical_increment_sampled_matches_closed():
     rng = np.random.default_rng(17)
     g = random_two_step(h=4, v=2, rng=rng)
-    path = closed_form_path(g, np.zeros(g.n), rng.normal(size=g.n))
+    path = ClosedFormPath(group=g, x0=np.zeros(g.n), P0=rng.normal(size=g.n))
     ts = np.linspace(0.0, 1.1, 2001)
     xh = path.horizontal(ts)[0]
     for alpha in [5, 6]:
@@ -339,7 +347,7 @@ def test_vertical_increment_sampled_matches_closed():
 
 def test_vertical_increment_validation():
     g = h1()
-    path = closed_form_path(g, np.zeros(3), np.array([1.0, 0.0, 1.0]))
+    path = ClosedFormPath(group=g, x0=np.zeros(3), P0=np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         vertical_increment(g, 1, path, t=1.0)
     with pytest.raises(ValueError):
@@ -359,7 +367,7 @@ def test_vertical_increment_validation():
 def test_periodic_loop_has_zero_mean_momentum():
     lam = 0.9
     g = h1()
-    path = closed_form_path(g, np.zeros(3), np.array([1.0, 0.0, lam]))
+    path = ClosedFormPath(group=g, x0=np.zeros(3), P0=np.array([1.0, 0.0, lam]))
     T = 2.0 * np.pi / lam
     ts = np.linspace(0.0, T, 1601)
     _, P = path.point(ts, return_momentum=True)
@@ -373,7 +381,7 @@ def test_periodic_loop_has_zero_mean_momentum():
     M = c_operator(g, z, horizontal=True)
     form = skew_canonical(M)
     P0 = np.concatenate([form.O[:, 0], z])
-    path = closed_form_path(g, np.zeros(g.n), P0)
+    path = ClosedFormPath(group=g, x0=np.zeros(g.n), P0=P0)
     T = 2.0 * np.pi / form.lambdas[0]
     ts = np.linspace(0.0, T, 1601)
     _, P = path.point(ts, return_momentum=True)

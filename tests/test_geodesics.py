@@ -8,7 +8,6 @@ import pytest
 from carnot.errors import NonFiniteState, TooFewSamples
 from carnot.geodesics import (
     GeodesicTrace,
-    MomentumState,
     abnormal_residual,
     integrate_normal,
     integrate_stepwise,
@@ -227,11 +226,3 @@ def test_trace_exports():
     blob = json.loads(tr.as_json())
     assert blob["meta"]["method"] == "rk4-normal"
     assert len(blob["times"]) == 5
-    st = tr.state(0)
-    assert isinstance(st, MomentumState)
-    np.testing.assert_array_equal(st.P, [1.0, 0.0, 0.5])
-
-
-def test_momentum_state_validation():
-    with pytest.raises(ValueError):
-        MomentumState(np.zeros(3), np.zeros(4))
