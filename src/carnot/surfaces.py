@@ -63,6 +63,9 @@ CHARACTERISTIC_REL = 1e-10
 ON_SURFACE_TOL = 1e-9
 PROBE = 5  # points per axis of the chart's (u, t) probe grid
 PHI_FD_STEP = 1e-4
+PROJECT_TOL = 1e-13  # |f| relative to 1 + |y| at which projection stops
+INVERT_TOL = 1e-12  # |Phi(u, t) - x| relative to 1 + |x| at which inversion stops
+NEWTON_ITER = 60  # iteration cap of both Newton solves
 
 
 @dataclass
@@ -245,13 +248,13 @@ def _householder_complement(w):
     return H[:, 1:]
 
 
-def _project_batch(field, p, tol=1e-13, max_iter=60):
+def _project_batch(field, p):
     """Newton projection of points p onto {f=0} along the gradient."""
     y = np.array(p, dtype=float)
     scale = 1.0 + np.linalg.norm(y, axis=-1)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITER):
         val = field.value(y)
-        if np.all(np.abs(val) <= tol * scale):
+        if np.all(np.abs(val) <= PROJECT_TOL * scale):
             return y
         g = field.coordinate_gradient(y)
         gn2 = np.einsum("...i,...i->...", g, g)
@@ -302,7 +305,7 @@ def _chart_forward(chart, U, T):
     return ys, N, path.point(np.asarray(T, dtype=float))
 
 
-def _invert_batch(chart, xs, u0, t0, tol=1e-12, max_iter=60):
+def _invert_batch(chart, xs, u0, t0):
     """Damped Newton on Phi(u, t) = x for a batch of targets.
 
     Returns (u, t, residual, converged). The Jacobian is forward finite
@@ -313,7 +316,7 @@ def _invert_batch(chart, xs, u0, t0, tol=1e-12, max_iter=60):
     d = n - 1
     u = np.array(u0, dtype=float)
     t = np.array(t0, dtype=float)
-    scale = tol * (1.0 + np.linalg.norm(xs, axis=1))
+    scale = INVERT_TOL * (1.0 + np.linalg.norm(xs, axis=1))
 
     _, _, pts = _chart_forward(chart, u, t)
     F = pts - xs
@@ -321,7 +324,7 @@ def _invert_batch(chart, xs, u0, t0, tol=1e-12, max_iter=60):
     conv = fn <= scale
     stalled = np.zeros(m, dtype=bool)
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITER):
         act = ~conv & ~stalled
         if not act.any():
             break

@@ -9,6 +9,7 @@ t = 2 pi k / lam and at the roots of tan(z) = z with z = lam t / 2.
 import numpy as np
 import pytest
 
+from carnot import distance
 from carnot.distance import (
     ShootingSolution,
     _pick,
@@ -311,6 +312,28 @@ def test_corank1_exact_at_high_turn():
             assert np.max(np.abs(reached - y)) < 1e-10 * max(1.0, L**2)
 
 
+def test_normal_geodesic_minimizes_up_to_the_fastest_turn():
+    # a normal geodesic minimizes up to the turn 2 pi / sigma_max(C_H(eta)):
+    # covectors planted at 0.5-0.95 of that turn on a corank-2 group have
+    # their length as distance
+    g = random_two_step(3, 2, np.random.default_rng(10))
+    rng = np.random.default_rng(11)
+    turns = np.linspace(0.5, 0.95, 12)
+    lengths = np.geomspace(0.6, 3.0, 12)
+    P0 = np.empty((12, g.n))
+    for i, (turn, L) in enumerate(zip(turns, lengths)):
+        nu = rng.normal(size=g.h)
+        e = rng.normal(size=g.v)
+        sigma = np.linalg.norm(c_operator(g, e, horizontal=True), ord=2)
+        P0[i, : g.h] = nu / np.linalg.norm(nu)
+        P0[i, g.h :] = e * turn * 2.0 * np.pi / (L * sigma)
+    targets = exp_sr_2step(g, np.zeros(g.n), P0, lengths)
+    batch = distance_batch(g, np.zeros(g.n), targets)
+    assert batch.converged.all()
+    assert np.max(np.abs(batch.T - lengths) / lengths) < 1e-8
+    assert not batch.multiplicity.any()
+
+
 def test_sphere_sample_h1():
     g = h1()
     r = 1.0
@@ -397,6 +420,37 @@ def test_conjugate_times_h1():
     found = conjugate_detect(g, np.zeros(3), [1.0, 0.0, 1.0], 10.0)
     assert found.size == 2
     assert abs(found[1] - 2.0 * TAN_Z_ROOT) < 1e-5
+
+
+def test_conjugate_triple_root_reported_once():
+    # on hn(2) with both planes turning at the same rate the first conjugate
+    # time 2 pi has multiplicity 3: det changes sign there and |det| dips,
+    # and the two candidates are one root
+    found = conjugate_detect(hn(2), np.zeros(5), [1.0, 0.0, 0.0, 0.0, 1.0], 7.0)
+    assert found.size == 1
+    assert abs(found[0] - 2.0 * np.pi) < 1e-6
+
+
+def test_conjugate_refinement_is_batched(monkeypatch):
+    # eight conjugate times are refined together: the closed-form builds do
+    # not grow with the number of roots
+    builds = []
+
+    class Counted(distance.ClosedFormPath):
+        def __post_init__(self):
+            builds.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(distance, "ClosedFormPath", Counted)
+    found = conjugate_detect(h1(), np.zeros(3), [0.6, 0.8, 2.5], 12.0)
+    lam = 2.5
+    tan_z_roots = [TAN_Z_ROOT, 7.725251836937704, 10.904121659428904, 14.066193912831482]
+    want = np.sort(
+        np.concatenate([np.pi * np.arange(1, 5), tan_z_roots]) * 2.0 / lam
+    )
+    assert found.size == 8
+    assert np.max(np.abs(found - want)) < 1e-5
+    assert len(builds) < 30
 
 
 def test_conjugate_free_straight_line():
