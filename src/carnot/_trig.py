@@ -61,12 +61,13 @@ def sinc(z):
 def hv(z):
     """(1 - cos z)/z^2, stable everywhere (2 sin^2(z/2) / z^2 off zero)."""
     z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.asarray(2.0 * np.sin(z / 2.0) ** 2 / (z * z))
     small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    w = z * z
-    series = 0.5 - w / 24.0 + w * w / 720.0
-    exact = 2.0 * np.sin(zs / 2.0) ** 2 / (zs * zs)
-    return np.where(small, series, exact)
+    if small.any():
+        w = z[small] ** 2
+        out[small] = 0.5 - w / 24.0 + w * w / 720.0
+    return out
 
 
 def _ms0(z):

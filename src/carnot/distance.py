@@ -505,7 +505,8 @@ def _corank1(group, targets):
         ua, loa, hia = u[active], lo[active], hi[active]
         loa = np.where(f >= 0.0, ua, loa)
         hia = np.where(f < 0.0, ua, hia)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero or tiny dF (|y_j|^2 subnormal) gives a step outside the bracket
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             un = ua + f / dF
         inside = np.isfinite(un) & (un > loa) & (un < hia)
         un = np.where(inside, un, 0.5 * (loa + hia))
@@ -525,8 +526,13 @@ def _corank1(group, targets):
         K = 8.0 * (a[far] - vertical(u[far], lc[far], rest)[0]) / (
             lam[0] * (ths - np.sin(ths))
         )
-        nrm = np.sqrt(ctop[far])
-        turned = _rotate_half(planes[far][:, top], theta[far][:, top])
+        # scaled by a power of 2, so |y_j|^2 stays normal when y_j is tiny;
+        # the heading keeps its bits wherever nothing underflows
+        ptop = planes[far][:, top]
+        _, e = np.frexp(np.abs(ptop).max(axis=(1, 2)))
+        ptop = np.ldexp(ptop, -e[:, None, None])
+        nrm = np.sqrt(np.einsum("mjk,mjk->mj", ptop, ptop).sum(axis=1))
+        turned = _rotate_half(ptop, theta[far][:, top])
         heading = np.zeros_like(turned)
         heading[:, 0, 0] = 1.0
         on = nrm > 0.0

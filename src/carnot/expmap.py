@@ -19,10 +19,21 @@ and each vertical component is half a signed-area line integral,
     x_a(t) = x_a(0) - (1/2) int_0^t <C^a_H x_H(s), x_H'(s)> ds,
 
 which expands over the spectral basis into the four product integrals
-implemented in carnot._trig. All formulas are valid for negative t and
-broadcast over batches of covectors; t itself broadcasts against the batch
-shape, so a trailing grid axis on the batch gives whole trajectories in one
-call.
+implemented in carnot._trig. With q = U^T P_H(0), W = q q^T and, per
+C = C^a_H, the coefficient tensors
+
+    K1 = U^T C U,  K2 = U^T C (MU),  K3 = (MU)^T C U,  K4 = (MU)^T C (MU),
+
+the part of the integral quadratic in P_H(0) is
+
+    sum over p, r of  W_pr (K1 T1 - K2 T2 - K3 T3 + K4 T4)_pr,
+
+with T1..T4 the product integrals at (sigma_p t, sigma_r t) times t^2, t^3,
+t^3 and t^4. The K_k come from batched matrix products of CU and C(MU), and
+the four terms from one contraction of the stacked tensors. All formulas
+are valid for negative t and broadcast over batches of covectors; t itself
+broadcasts against the batch shape, so a trailing grid axis on the batch
+gives whole trajectories in one call.
 """
 
 import copy
@@ -148,6 +159,10 @@ class ClosedFormPath:
     vertical increments at any collection of times come out of vectorized
     kernel evaluations. Batch axes of x0 and P0 broadcast together; times
     passed to the evaluation methods broadcast against that batch shape.
+    The coefficient tensors K1..K4 of the module docstring are kept as one
+    tensor of shape batch + (v, 4, h, h), signs folded in, which
+    ``increments`` contracts with W and the stacked product integrals at
+    once. A row's bits do not depend on the other rows of its batch.
     """
 
     group: CarnotGroup
@@ -178,14 +193,18 @@ class ClosedFormPath:
         self.sigma = np.sqrt(np.clip(w, 0.0, None))
         PH0 = self.P0[..., :h]
         self.q = np.einsum("...ip,...i->...p", U, PH0)
-        # spectral-basis coefficient tensors of the four vertical integrands
-        CM = np.einsum("vij,...jk->...vik", CH, M)
-        MtC = np.einsum("...ji,vjk->...vik", M, CH)
-        MtCM = np.einsum("...vik,...kl->...vil", MtC, M)
-        self._K1 = np.einsum("...ip,vij,...jq->...vpq", U, CH, U)
-        self._K2 = np.einsum("...ip,...vij,...jq->...vpq", U, CM, U)
-        self._K3 = np.einsum("...ip,...vij,...jq->...vpq", U, MtC, U)
-        self._K4 = np.einsum("...ip,...vij,...jq->...vpq", U, MtCM, U)
+        # K1..K4 of the module docstring, stacked; -MU folds in the signs
+        # +, -, -, + of the four terms exactly
+        nMU = -(M @ U)[..., None, :, :]
+        Ut = np.swapaxes(U, -1, -2)[..., None, :, :]
+        nMUt = np.swapaxes(nMU, -1, -2)
+        CU = CH @ U[..., None, :, :]
+        nCMU = CH @ nMU
+        self._K = np.empty(self.batch + (g.v, 4, h, h))
+        np.matmul(Ut, CU, out=self._K[..., 0, :, :])
+        np.matmul(Ut, nCMU, out=self._K[..., 1, :, :])
+        np.matmul(nMUt, CU, out=self._K[..., 2, :, :])
+        np.matmul(nMUt, nCMU, out=self._K[..., 3, :, :])
         self._W = self.q[..., :, None] * self.q[..., None, :]
         self._CHx0 = np.einsum("vij,...j->...vi", CH, self.x0[..., :h])
 
@@ -217,16 +236,17 @@ class ClosedFormPath:
         za = z[..., :, None]
         zb = z[..., None, :]
         ts = tB[..., None, None]
-        T1 = ts**2 * _trig.t1(za, zb)
-        T2 = ts**3 * _trig.t2(za, zb)
-        T3 = ts**3 * _trig.t3(za, zb)
-        T4 = ts**4 * _trig.t4(za, zb)
-        J = (
-            np.einsum("...vab,...ab,...ab->...v", self._K1, self._W, T1)
-            - np.einsum("...vab,...ab,...ab->...v", self._K2, self._W, T2)
-            - np.einsum("...vab,...ab,...ab->...v", self._K3, self._W, T3)
-            + np.einsum("...vab,...ab,...ab->...v", self._K4, self._W, T4)
-        )
+        # [t^2 T1, t^3 T2, t^3 T3, t^4 T4], stacked as _K is, in one
+        # contraction; its four terms are summed in order, as four separate
+        # contractions would be
+        h = z.shape[-1]
+        T = np.empty(z.shape[:-1] + (4, h, h))
+        np.multiply(ts**2, _trig.t1(za, zb), out=T[..., 0, :, :])
+        np.multiply(ts**3, _trig.t2(za, zb), out=T[..., 1, :, :])
+        np.multiply(ts**3, _trig.t3(za, zb), out=T[..., 2, :, :])
+        np.multiply(ts**4, _trig.t4(za, zb), out=T[..., 3, :, :])
+        Jk = np.einsum("...vkab,...ab,...kab->...vk", self._K, self._W, T)
+        J = Jk[..., 0] + Jk[..., 1] + Jk[..., 2] + Jk[..., 3]
         delta = self.horizontal(t)[2] if _delta is None else _delta
         return np.einsum("...vj,...j->...v", self._CHx0, delta) + J
 

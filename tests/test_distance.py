@@ -74,6 +74,16 @@ def test_vertical_axis_closed_form():
     assert sol.multiplicity
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_corank1_target_next_to_the_axis():
+    # |y_j|^2 of the fastest plane is subnormal for the middle three offsets;
+    # the answer stays that of the axis point, 2 sqrt(pi)
+    y = np.array([[0.0, s, 1.0] for s in (1e-156, 1e-158, 3.14e-160, 1e-161, 0.0)])
+    batch = distance_batch(h1(), np.zeros(3), y)
+    assert batch.converged.all()
+    assert np.allclose(batch.T, 2.0 * np.sqrt(np.pi), rtol=1e-12, atol=0.0)
+
+
 def test_symmetry_and_left_invariance():
     rng = np.random.default_rng(5)
     for g in (h1(), random_two_step(3, 2, rng)):

@@ -191,15 +191,18 @@ def test_left_invariance():
 
 
 def test_batch_shapes_and_values():
-    rng = np.random.default_rng(2)
-    g = hn(2)
-    P0 = rng.normal(size=(3, g.n))
+    # a row's bits do not depend on the rows built with it: the shooting
+    # solver shrinks its batch as tracks converge
     ts = np.linspace(0.1, 1.4, 5)
-    batch = exp_sr_2step(g, np.zeros(g.n), P0[:, None, :], ts)
-    assert batch.shape == (3, 5, g.n)
-    for i in range(3):
-        single = exp_sr_2step(g, np.zeros(g.n), P0[i], ts)
-        assert np.max(np.abs(batch[i] - single)) < 1e-14
+    for g in (hn(2), random_two_step(4, 3, np.random.default_rng(20091030))):
+        P0 = np.random.default_rng(2).normal(size=(3, g.n))
+        batch = exp_sr_2step(g, np.zeros(g.n), P0[:, None, :], ts)
+        assert batch.shape == (3, 5, g.n)
+        sub = exp_sr_2step(g, np.zeros(g.n), P0[1:, None, :], ts)
+        assert np.array_equal(batch[1:], sub)
+        for i in range(3):
+            single = exp_sr_2step(g, np.zeros(g.n), P0[i], ts)
+            assert np.array_equal(batch[i], single)
 
 
 def test_wrong_step_rejected():
