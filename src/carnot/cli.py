@@ -10,6 +10,7 @@ Every command is deterministic for a fixed argument list and seed.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -71,11 +72,21 @@ class ConfigError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _rejected_input():
+    """A ValueError from the library means the arguments were bad: exit 2."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _resolve_group(ref):
     if ref in BUILTIN_GROUPS:
         return BUILTIN_GROUPS[ref]()
     if os.path.exists(ref):
-        return load_group(ref)
+        with _rejected_input():
+            return load_group(ref)
     raise ConfigError(
         "unknown group %r; built-ins: %s, or pass a group file path"
         % (ref, ", ".join(sorted(BUILTIN_GROUPS)))
@@ -237,9 +248,10 @@ def cmd_distance(args):
     group = _resolve_group(args.group)
     x = _parse_vector(args.from_, group.n, "--from")
     y = _parse_vector(args.to, group.n, "--to")
-    sol = distance_point(
-        group, x, y, starts=args.starts, max_iter=args.max_iter
-    )
+    with _rejected_input():
+        sol = distance_point(
+            group, x, y, starts=args.starts, max_iter=args.max_iter
+        )
     _report(
         [
             ("distance", sol.T),
@@ -257,17 +269,16 @@ def cmd_distance(args):
 def cmd_sphere(args):
     group = _resolve_group(args.group)
     x0 = _parse_vector(args.center, group.n, "--center")
-    if args.radius <= 0.0:
-        raise ConfigError("need radius > 0")
-    sample = sphere_sample(
-        group,
-        x0,
-        args.radius,
-        n_dirs=args.n_dirs,
-        n_vert=args.n_vert,
-        starts=args.starts,
-        seed=args.seed,
-    )
+    with _rejected_input():
+        sample = sphere_sample(
+            group,
+            x0,
+            args.radius,
+            n_dirs=args.n_dirs,
+            n_vert=args.n_vert,
+            starts=args.starts,
+            seed=args.seed,
+        )
     if args.format == "json":
         blob = {
             "r": sample.r,
@@ -294,9 +305,8 @@ def cmd_conjugate(args):
     group = _resolve_group(args.group)
     x0 = _parse_vector(args.x0, group.n, "--x0")
     P0 = _parse_vector(args.p0, group.n, "--p0")
-    if args.t_max <= 0.0:
-        raise ConfigError("need t-max > 0")
-    found = conjugate_detect(group, x0, P0, args.t_max, samples=args.samples)
+    with _rejected_input():
+        found = conjugate_detect(group, x0, P0, args.t_max, samples=args.samples)
     _report(
         [
             ("count", len(found)),

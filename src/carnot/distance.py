@@ -275,6 +275,8 @@ def _start_grid(group, targets, starts):
     over the time guess. The time guess is the horizontal displacement plus
     the certified vertical contribution 2 sqrt(|y_a| / |C^a|) per coordinate.
     """
+    if not 1 <= starts <= len(_START_PAIRS):
+        raise ValueError("starts must lie in 1..%d" % len(_START_PAIRS))
     h, v = group.h, group.v
     m = targets.shape[0]
     yH, yV = targets[:, :h], targets[:, h:]
@@ -296,8 +298,6 @@ def _start_grid(group, targets, starts):
     Tg = rH + 2.0 * np.sqrt(np.abs(yV) / scales).sum(axis=1)
     Tg = np.maximum(Tg, 1e-3 * (1.0 + np.linalg.norm(targets, axis=1)))
 
-    if starts > len(_START_PAIRS):
-        raise ValueError("too many starts for the built-in lattice")
     w0 = np.empty((m, starts, h))
     eta0 = np.empty((m, starts, v))
     T0 = np.empty((m, starts))
@@ -955,6 +955,8 @@ def conjugate_detect(group, x0, P0, t_max, samples=CONJ_SAMPLES):
     require_step2(group, "conjugate detection")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
+    if samples < 2:
+        raise ValueError("the conjugate-time scan needs samples >= 2")
     x0, P0 = group.point(x0), group.point(P0)
     brackets = _conjugate_brackets(group, x0, P0, t_max, samples)
     out = []

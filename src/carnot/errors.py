@@ -47,10 +47,6 @@ class WrongStep(CarnotError):
     """Closed-form exponential requested outside the 2-step case."""
 
 
-class ZeroCovector(CarnotError):
-    """Periodicity analysis needs a nonzero vertical covector."""
-
-
 class GridMismatch(CarnotError):
     """Curve data and field data live on different time grids."""
 

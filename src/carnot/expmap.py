@@ -42,24 +42,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _trig
-from .errors import GridMismatch, NotSkew, TooFewSamples, WrongStep, ZeroCovector
+from .errors import NotSkew, WrongStep
 from .groups import CarnotGroup, c_operator
 
 __all__ = [
     "SkewCanonicalForm",
-    "PeriodicityReport",
     "ClosedFormPath",
     "skew_canonical",
     "exp_sr_2step",
-    "vertical_increment",
-    "periodicity",
-    "minimal_periods",
     "require_step2",
 ]
 
 SKEW_TOL = 1e-12
 FREQ_TOL = 1e-10
-KERNEL_TOL = 1e-8
 
 
 def require_step2(group, what):
@@ -224,9 +219,8 @@ class ClosedFormPath:
             "...ik,...kp,...p->...i", self.M, self.U, hq
         )
         cq = np.cos(z) * self.q
-        sq = ts * _trig.sinc(z) * self.q
         ph = np.einsum("...ip,...p->...i", self.U, cq) - np.einsum(
-            "...ik,...kp,...p->...i", self.M, self.U, sq
+            "...ik,...kp,...p->...i", self.M, self.U, dq
         )
         return self.x0[..., : self.group.h] + delta, ph, delta
 
@@ -295,109 +289,3 @@ def exp_sr_2step(group, x0, P0, t, return_momentum=False):
     return ClosedFormPath(group=group, x0=x0, P0=P0).point(
         t, return_momentum=return_momentum
     )
-
-
-def _simpson(y, dx):
-    m = y.shape[0] - 1
-    if m < 2:
-        raise TooFewSamples("need at least 3 samples for Simpson quadrature")
-    total = 0.0
-    if m % 2 == 1:
-        # 3/8 rule on the last three intervals, composite 1/3 on the rest
-        total += dx * 3.0 / 8.0 * (y[-4] + 3 * y[-3] + 3 * y[-2] + y[-1])
-        y = y[: m - 2]
-        m -= 3
-        if m == 0:
-            return total
-    total += dx / 3.0 * (y[0] + y[-1] + 4 * np.sum(y[1:-1:2]) + 2 * np.sum(y[2:-2:2]))
-    return total
-
-
-def vertical_increment(group, alpha, path, t=None):
-    """Signed-area integral int <C^alpha_H x_H, x_H'> ds along a path.
-
-    alpha is the 1-based coordinate index of a vertical direction. The path
-    is either a ClosedFormPath (exact evaluation; pass the time t) or a pair
-    (times, x_H samples) on a uniform grid, integrated by composite Simpson
-    with a 3/8 tail when the number of intervals is odd.
-    """
-    g = group
-    if not (g.h < alpha <= g.n):
-        raise ValueError("alpha must be a vertical coordinate index in [%d, %d]" % (g.h + 1, g.n))
-    if isinstance(path, ClosedFormPath):
-        if t is None:
-            raise ValueError("closed-form paths need an evaluation time t")
-        return path.increments(t)[..., alpha - g.h - 1]
-    if t is not None:
-        raise ValueError("sampled paths integrate over their own grid; drop t")
-    times, xh = path
-    times = np.asarray(times, dtype=float)
-    xh = np.asarray(xh, dtype=float)
-    if times.ndim != 1 or xh.shape != (times.size, g.h):
-        raise ValueError("expected times (m,) and samples (m, h)")
-    if times.size < 3:
-        raise TooFewSamples("need at least 3 samples, got %d" % times.size)
-    steps = np.diff(times)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, np.max(np.abs(steps))):
-        raise GridMismatch("sampled path must live on a uniform grid")
-    Ca = g.C[alpha - 1, : g.h, : g.h]
-    dxh = np.gradient(xh, times, axis=0)
-    integrand = np.einsum("ij,mj,mi->m", Ca, xh, dxh)
-    return _simpson(integrand, float(steps[0]))
-
-
-@dataclass(frozen=True)
-class PeriodicityReport:
-    """Kernel bookkeeping of e^{-C_H(z) T} - Id at a fixed time T.
-
-    rank_defect counts the unit eigenvalues, nullity the frozen directions
-    that never move, and nonconstant_dim their difference: the dimension of
-    genuinely oscillating horizontal momenta that return at time T.
-    """
-
-    T: float
-    rank_defect: int
-    nullity: int
-    nonconstant_dim: int
-    minimal_periods: tuple
-
-
-def _distinct_periods(form):
-    periods = []
-    for lam in form.lambdas:
-        p = 2.0 * np.pi / lam
-        if not any(abs(p - q) <= 1e-9 * q for q in periods):
-            periods.append(p)
-    return tuple(sorted(periods))
-
-
-def periodicity(group, P_H2, T):
-    """Analyze which horizontal momenta are T-periodic under covector P_H2.
-
-    In the canonical form of M = C_H(P_H2), e^{-MT} - Id has the singular
-    values 2 |sin(lambda_j T / 2)|, twice per plane, and a zero for each
-    frozen direction; those below KERNEL_TOL count as unit eigenvalues.
-    """
-    z = np.asarray(P_H2, dtype=float)
-    M = c_operator(group, z, horizontal=True)
-    form = skew_canonical(M)
-    s = 2.0 * np.abs(np.sin(0.5 * form.lambdas * float(T)))
-    k = form.nullity + 2 * int(np.sum(s < KERNEL_TOL))
-    return PeriodicityReport(
-        T=float(T),
-        rank_defect=k,
-        nullity=form.nullity,
-        nonconstant_dim=k - form.nullity,
-        minimal_periods=_distinct_periods(form),
-    )
-
-
-def minimal_periods(group, P_H2):
-    """Distinct minimal periods 2 pi / lambda_j of C_H(P_H2), ascending."""
-    z = np.asarray(P_H2, dtype=float)
-    M = c_operator(group, z, horizontal=True)
-    form = skew_canonical(M)
-    periods = _distinct_periods(form)
-    if not periods:
-        raise ZeroCovector("covector has no oscillating frequencies")
-    return periods

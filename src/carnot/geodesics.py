@@ -1,4 +1,4 @@
-"""Normal geodesic flow, layer-by-layer integration, abnormal residuals.
+"""Normal geodesic flow and its layer-by-layer integration.
 
 The normal equations on momentum space are
 
@@ -15,13 +15,6 @@ in lock step (the acceptance sweeps rely on this). ``integrate_stepwise``
 exploits the grading instead, on any step k: the momentum of layer k - 1 is
 an algebraic function of position, so only x and the momentum layers below
 k - 1 are integrated; on step 2 that leaves an ODE in x alone.
-
-Abnormal curves satisfy the mixed algebraic-differential system
-
-    C_H(P_V) x_H = 0,   dP_V/dt = -(C(P_V) x)_V,   dx_V/dt = 0,   P_H = 0,
-
-which has no ODE form, so ``abnormal_residual`` only evaluates the four
-condition magnitudes along a sampled curve.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ __all__ = [
     "normal_rhs",
     "integrate_normal",
     "integrate_stepwise",
-    "abnormal_residual",
 ]
 
 
@@ -143,18 +135,12 @@ def _conservation_meta(group: CarnotGroup, times, xs, ps) -> dict:
 
 
 def integrate_normal(
-    group: CarnotGroup,
-    x0,
-    P0,
-    T: float,
-    steps: int,
-    richardson: bool = False,
+    group: CarnotGroup, x0, P0, T: float, steps: int
 ) -> GeodesicTrace:
     """RK4 integration of the normal system on a uniform grid.
 
     ``x0`` and ``P0`` broadcast against each other and may carry batch axes;
-    the sampled arrays then have shape (steps+1, ..., n). With ``richardson``
-    a halved-step rerun estimates the endpoint error (diagnostic only).
+    the sampled arrays then have shape (steps+1, ..., n).
     """
     x0 = group.point(np.asarray(x0, dtype=float))
     P0 = group.point(np.asarray(P0, dtype=float))
@@ -176,12 +162,6 @@ def integrate_normal(
         "steps": int(steps),
         **_conservation_meta(group, times, xs, ps),
     }
-    if richardson:
-        # endpoint error estimate for the returned grid: the halved-step
-        # endpoint differs from the truth by ~1/16 of the coarse error
-        _, ys2 = _rk4(rhs, y0, float(T), 2 * int(steps))
-        err = np.max(np.abs(ys2[-1] - ys[-1])) * (16.0 / 15.0)
-        meta["richardson_error"] = float(err)
     return GeodesicTrace(times, xs, ps, meta, group=group)
 
 
@@ -230,39 +210,3 @@ def integrate_stepwise(
     }
     return GeodesicTrace(times, xs, ps, meta, group=group)
 
-
-def abnormal_residual(
-    group: CarnotGroup, trace: GeodesicTrace, tol: float = 1e-8
-) -> dict:
-    """Residual magnitudes of the four abnormal conditions along a trace.
-
-    Derivatives are central differences at the local grid spacing. Returns
-    per-time series plus sup norms; ``consistent`` reports whether every sup
-    norm is below ``tol``. No existence claim is made: this certifies only
-    that the sampled curve satisfies the system.
-    """
-    if len(trace) < 5:
-        raise TooFewSamples("abnormal residuals need at least 5 samples")
-    times, xs, ps = trace.times, trace.xs, trace.ps
-    h = group.h
-    PV = ps[..., h:]
-    CHpv = np.einsum("...a,aij->...ij", PV[..., : group.CH.shape[0]], group.CH)
-    algebraic = np.linalg.norm(
-        np.einsum("...ij,...j->...i", CHpv, xs[..., :h]), axis=-1
-    )
-    dPV = np.gradient(PV, times, axis=0)
-    Cpv_x = np.einsum("aij,...a,...j->...i", group.CV, PV, xs)
-    vertical_momentum = np.linalg.norm(dPV + Cpv_x[..., h:], axis=-1)
-    dxV = np.gradient(xs[..., h:], times, axis=0)
-    vertical_velocity = np.linalg.norm(dxV, axis=-1)
-    horizontal_momentum = np.linalg.norm(ps[..., :h], axis=-1)
-    series = {
-        "algebraic": algebraic,
-        "vertical_momentum": vertical_momentum,
-        "vertical_velocity": vertical_velocity,
-        "horizontal_momentum": horizontal_momentum,
-    }
-    sups = {name: float(np.max(arr)) for name, arr in series.items()}
-    series["sup"] = sups
-    series["consistent"] = all(s < tol for s in sups.values())
-    return series

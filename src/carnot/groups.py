@@ -421,6 +421,8 @@ def load_group(path) -> CarnotGroup:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
+        if "growth" not in data:
+            raise ValueError(f"{path}: missing 'growth'")
         return build_group(
             data["growth"],
             [tuple(row) for row in data.get("constants", [])],

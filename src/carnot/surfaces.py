@@ -17,13 +17,14 @@ normal (e^{-C_H(varpi) t} nu_H, varpi) up to the sign of t.
 The chart half-width is found by probing: forward-map a grid of
 (surface parameter, t) pairs and require the Newton inversion, started the
 same way ordinary queries start, to come back to the generating parameters;
-the width is halved until the probe passes. The Jacobian determinant of Phi
-at t = 0 has the closed form |g_H| / |grad f| when the surface is
-parameterized by a Euclidean-orthonormal tangent basis (the determinant
+the width is halved until the probe passes; the probe is what certifies
+that the chart inverts. The Jacobian determinant of Phi at t = 0 has the
+closed form |g_H| / |grad f| when the surface is parameterized by a
+Euclidean-orthonormal tangent basis such as the chart's E (the determinant
 contracts the geodesic velocity against the tangent cofactor, and only the
-horizontal momentum of the normal survives); phi_jacobian returns that
-value next to a central-difference determinant with step PHI_FD_STEP so the
-identity stays a measurable statement.
+horizontal momentum of the normal survives). The tests check this identity
+at chart bases against central differences of ``surface_point`` and
+``phi_map``.
 """
 
 from dataclasses import dataclass, field
@@ -46,14 +47,12 @@ __all__ = [
     "SurfaceNormalData",
     "TubularChart",
     "ProjectionResult",
-    "coordinate_hyperplane",
     "polynomial_field",
     "frame_gradient",
     "surface_normals",
     "metric_normal",
     "build_chart",
     "phi_map",
-    "phi_jacobian",
     "project_to_surface",
     "delta_H",
     "grad_delta_H",
@@ -62,7 +61,6 @@ __all__ = [
 CHARACTERISTIC_REL = 1e-10
 ON_SURFACE_TOL = 1e-9
 PROBE = 5  # points per axis of the chart's (u, t) probe grid
-PHI_FD_STEP = 1e-4
 PROJECT_TOL = 1e-13  # |f| relative to 1 + |y| at which projection stops
 INVERT_TOL = 1e-12  # |Phi(u, t) - x| relative to 1 + |x| at which inversion stops
 NEWTON_ITER = 60  # iteration cap of both Newton solves
@@ -87,21 +85,6 @@ class HypersurfaceField:
         x = np.asarray(x, dtype=float)
         g = np.asarray(self.grad(x), dtype=float)
         return np.broadcast_to(g, x.shape).copy()
-
-
-def coordinate_hyperplane(n, axis, offset=0.0):
-    """The surface {x_axis = offset}; axis is 1-based like coordinates."""
-    if not 1 <= axis <= n:
-        raise ValueError("axis out of range")
-    i = axis - 1
-    e = np.zeros(n)
-    e[i] = 1.0
-
-    return HypersurfaceField(
-        f=lambda x: x[..., i] - offset,
-        grad=lambda x: np.broadcast_to(e, np.shape(x)),
-        name=f"x{axis}" + (f"-{offset:g}" if offset else ""),
-    )
 
 
 def polynomial_field(n, terms, name=""):
@@ -470,52 +453,6 @@ def phi_map(chart, y, t):
     data = surface_normals(chart.group, chart.field, y)
     path = ClosedFormPath(group=chart.group, x0=y, P0=data.N)
     return path.point(float(t))
-
-
-@dataclass
-class PhiJacobian:
-    """|det J Phi(y, 0)| both ways; equal up to finite-difference error."""
-
-    fd: float
-    closed_form: float
-
-
-def phi_jacobian(chart, y):
-    """Jacobian determinant of Phi at (y, 0), finite-difference vs closed.
-
-    The chart directions at y are taken Euclidean-orthonormal in the
-    tangent plane of the surface; in that parameterization the closed form
-    is |g_H| / |grad f| (contract the geodesic velocity L(y) nu_H against
-    the unit tangent cofactor, which is grad f / |grad f|; the horizontal
-    momentum |g_H| is what survives). The finite-difference side differences
-    the projected surface chart and the geodesic flow, so the agreement is
-    a real check of the degenerate-direction bookkeeping.
-    """
-    group = chart.group
-    y = group.point(np.asarray(y, dtype=float))
-    _check_on_surface(chart.field, y)
-    u_in = (y - chart.base) @ chart.E
-    _chart_membership(chart, u_in, 0.0)
-
-    gradf = chart.field.coordinate_gradient(y)
-    g = frame_gradient(group, chart.field, y)
-    ghn = np.linalg.norm(g[: group.h])
-    gn = np.linalg.norm(g)
-    if ghn < CHARACTERISTIC_REL * gn:
-        raise Characteristic("Jacobian degenerates at a characteristic point")
-    closed = ghn / np.linalg.norm(gradf)
-
-    B = _householder_complement(gradf / np.linalg.norm(gradf))
-    n = group.n
-    cols = np.empty((n, n))
-    plus = _project_batch(chart.field, y + PHI_FD_STEP * B.T)
-    minus = _project_batch(chart.field, y - PHI_FD_STEP * B.T)
-    cols[:, : n - 1] = ((plus - minus) / (2.0 * PHI_FD_STEP)).T
-    data = surface_normals(group, chart.field, y)
-    path = ClosedFormPath(group=group, x0=y, P0=data.N)
-    two = path.point(np.array([PHI_FD_STEP, -PHI_FD_STEP]))
-    cols[:, n - 1] = (two[0] - two[1]) / (2.0 * PHI_FD_STEP)
-    return PhiJacobian(fd=float(abs(np.linalg.det(cols))), closed_form=float(closed))
 
 
 @dataclass

@@ -36,7 +36,6 @@ from .errors import (
     NotUnitSpeed,
     TooFewSamples,
 )
-from .expmap import _simpson
 from .geodesics import GeodesicTrace, integrate_normal
 from .groups import CarnotGroup, c_operator, frame_apply, frame_solve
 
@@ -113,6 +112,22 @@ def _uniform_dt(times: np.ndarray) -> float:
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise GridMismatch("nonuniform time grid")
     return float(steps[0])
+
+
+def _simpson(y, dx):
+    m = y.shape[0] - 1
+    if m < 2:
+        raise TooFewSamples("need at least 3 samples for Simpson quadrature")
+    total = 0.0
+    if m % 2 == 1:
+        # 3/8 rule on the last three intervals, composite 1/3 on the rest
+        total += dx * 3.0 / 8.0 * (y[-4] + 3 * y[-3] + 3 * y[-2] + y[-1])
+        y = y[: m - 2]
+        m -= 3
+        if m == 0:
+            return total
+    total += dx / 3.0 * (y[0] + y[-1] + 4 * np.sum(y[1:-1:2]) + 2 * np.sum(y[2:-2:2]))
+    return total
 
 
 def _frame_velocity(group: CarnotGroup, times, xs) -> np.ndarray:

@@ -64,6 +64,59 @@ def test_bad_vector_width(capsys):
     assert "3" in err
 
 
+def assert_config_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_group_file_exit_2(capsys, tmp_path):
+    for name, text in (
+        ("three.txt", "growth: 2 1\n3 1 2\n"),
+        ("cut.json", '{"growth": [2, 1], "constants": [[3, 1'),
+        ("nogrowth.json", '{"constants": [[3, 1, 2, 1.0]]}'),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "geodesic", "--group", str(path), "--x0", "0,0,0",
+            "--p0", "1,0,0", "--T", "1",
+        )
+        assert_config_error(code, out, err)
+
+
+def test_bad_starts_exit_2(capsys, tmp_path):
+    # corank 2: [e1, e2] = e4, [e1, e3] = e5, so the start lattice is used
+    path = tmp_path / "c2.txt"
+    path.write_text("growth: 3 2\n4 1 2 1.0\n5 1 3 1.0\n")
+    group = str(path)
+    for starts in ("0", "40"):
+        code, out, err = run(
+            capsys, "distance", "--group", group, "--from", "0,0,0,0,0",
+            "--to", "1,0,0,0.1,0", "--starts", starts,
+        )
+        assert_config_error(code, out, err)
+        assert "starts" in err
+    code, out, err = run(
+        capsys, "sphere", "--group", group, "--center", "0,0,0,0,0",
+        "--radius", "1", "--n-dirs", "2", "--n-vert", "2", "--starts", "33",
+    )
+    assert_config_error(code, out, err)
+
+
+def test_out_of_range_values_exit_2(capsys):
+    conjugate = ["conjugate", "--group", "h1", "--x0", "0,0,0", "--p0", "1,0,1"]
+    for argv, word in (
+        (conjugate + ["--t-max", "10", "--samples", "0"], "samples"),
+        (conjugate + ["--t-max", "10", "--samples", "1"], "samples"),
+        (conjugate + ["--t-max", "0"], "t_max"),
+        (["sphere", "--group", "h1", "--center", "0,0,0", "--radius", "0"],
+         "radius"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert_config_error(code, out, err)
+        assert word in err
+
+
 def test_geodesic_trace_and_diagnostics(capsys, tmp_path):
     out_file = tmp_path / "trace.txt"
     code, out, err = run(

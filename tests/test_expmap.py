@@ -4,23 +4,11 @@ import numpy as np
 import pytest
 
 from carnot import _trig
-from carnot.errors import (
-    GridMismatch,
-    NotSkew,
-    TooFewSamples,
-    WrongStep,
-    ZeroCovector,
-)
-from carnot.expmap import (
-    ClosedFormPath,
-    exp_sr_2step,
-    minimal_periods,
-    periodicity,
-    skew_canonical,
-    vertical_increment,
-)
+from carnot.errors import NotSkew, WrongStep
+from carnot.expmap import ClosedFormPath, exp_sr_2step, skew_canonical
 from carnot.geodesics import integrate_normal
 from carnot.groups import build_group, c_operator, engel, group_product, h1, hn, random_two_step
+from carnot.variations import _simpson
 
 
 def h1_orbit(lam, t):
@@ -260,111 +248,26 @@ def test_skew_canonical_degenerate_and_zero():
         skew_canonical(np.eye(2))
 
 
-def test_periodicity_h1():
-    g = h1()
-    lam = 1.3
-    full = periodicity(g, np.array([lam]), 2.0 * np.pi / lam)
-    assert full.rank_defect == 2
-    assert full.nullity == 0
-    assert full.nonconstant_dim == 2
-    assert len(full.minimal_periods) == 1
-    assert abs(full.minimal_periods[0] - 2.0 * np.pi / lam) < 1e-12
-    half = periodicity(g, np.array([lam]), np.pi / lam)
-    assert half.rank_defect == 0 and half.nonconstant_dim == 0
-
-
-def test_periodicity_h2_and_bounds():
-    g = hn(2)
-    z = np.array([0.7])
-    report = periodicity(g, z, 2.0 * np.pi / 0.7)
-    assert report.rank_defect == 4 and report.nullity == 0
-    assert minimal_periods(g, z) == report.minimal_periods
-
-    rng = np.random.default_rng(41)
-    for h, v in [(3, 1), (4, 2), (5, 3), (6, 2)]:
-        g = random_two_step(h=h, v=v, rng=rng)
-        z = rng.normal(size=v)
-        for T in minimal_periods(g, z):
-            rep = periodicity(g, z, T)
-            assert rep.nullity + 2 <= rep.rank_defect <= h
-        generic = periodicity(g, z, 0.377146)
-        assert generic.rank_defect == generic.nullity
-
-
-def test_periodicity_counts_unit_eigenvalues_of_the_flow():
-    # rank_defect against an SVD of e^{-MT} - Id built by eigendecomposition,
-    # at each minimal period, half of the first one and a generic time
-    rng = np.random.default_rng(43)
-    for _ in range(4):
-        g = random_two_step(5, 2, rng)
-        z = rng.normal(size=2)
-        w, V = np.linalg.eig(c_operator(g, z, horizontal=True))
-        periods = minimal_periods(g, z)
-        for T in periods + (0.5 * periods[0], 0.377146):
-            E = ((V * np.exp(-w * T)) @ np.linalg.inv(V)).real
-            s = np.linalg.svd(E - np.eye(5), compute_uv=False)
-            rep = periodicity(g, z, T)
-            assert rep.rank_defect == int(np.sum(s < 1e-8))
-            assert rep.nonconstant_dim == rep.rank_defect - rep.nullity
-
-
-def test_minimal_periods_zero_covector():
-    with pytest.raises(ZeroCovector):
-        minimal_periods(h1(), np.array([0.0]))
-
-
-def test_vertical_increment_circle():
-    rho = 1.7
-    s = np.linspace(0.0, 2.0 * np.pi, 4001)
-    circle = rho * np.stack([np.cos(s), np.sin(s)], axis=-1)
-    val = vertical_increment(h1(), 3, (s, circle))
-    assert abs(val + 2.0 * np.pi * rho**2) < 5e-5
-    val_rev = vertical_increment(h1(), 3, (s, circle[::-1]))
-    assert abs(val_rev - 2.0 * np.pi * rho**2) < 5e-5
-
-
-def test_vertical_increment_radial():
-    s = np.linspace(0.0, 1.0, 101)
-    ray = s[:, None] * np.array([0.6, 0.8])
-    assert abs(vertical_increment(h1(), 3, (s, ray))) < 1e-12
-
-
 def test_vertical_increment_closed_form():
     lam = 2.1
     path = ClosedFormPath(group=h1(), x0=np.zeros(3), P0=np.array([1.0, 0.0, lam]))
-    val = vertical_increment(h1(), 3, path, t=2.0 * np.pi / lam)
+    val = path.increments(2.0 * np.pi / lam)[0]
     assert abs(val + 2.0 * np.pi / lam**2) < 1e-12
 
 
 def test_vertical_increment_sampled_matches_closed():
+    # Simpson of <C^a_H x_H, P_H> on sampled horizontal data, an independent
+    # check of the closed-form vertical part
     rng = np.random.default_rng(17)
     g = random_two_step(h=4, v=2, rng=rng)
     path = ClosedFormPath(group=g, x0=np.zeros(g.n), P0=rng.normal(size=g.n))
     ts = np.linspace(0.0, 1.1, 2001)
-    xh = path.horizontal(ts)[0]
-    for alpha in [5, 6]:
-        sampled = vertical_increment(g, alpha, (ts, xh))
-        exact = vertical_increment(g, alpha, path, t=1.1)
-        assert abs(sampled - exact) < 1e-6
-
-
-def test_vertical_increment_validation():
-    g = h1()
-    path = ClosedFormPath(group=g, x0=np.zeros(3), P0=np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        vertical_increment(g, 1, path, t=1.0)
-    with pytest.raises(ValueError):
-        vertical_increment(g, 3, path)
-    s = np.linspace(0.0, 1.0, 11)
-    xh = np.zeros((11, 2))
-    with pytest.raises(ValueError):
-        vertical_increment(g, 3, (s, xh), t=1.0)
-    with pytest.raises(TooFewSamples):
-        vertical_increment(g, 3, (s[:2], xh[:2]))
-    bad = s.copy()
-    bad[4] += 0.03
-    with pytest.raises(GridMismatch):
-        vertical_increment(g, 3, (bad, xh))
+    xh, ph, _ = path.horizontal(ts)
+    exact = path.increments(1.1)
+    for a in range(g.v):
+        integrand = np.einsum("ij,mj,mi->m", g.CH[a], xh, ph)
+        sampled = _simpson(integrand, ts[1] - ts[0])
+        assert abs(sampled - exact[a]) < 1e-10
 
 
 def test_periodic_loop_has_zero_mean_momentum():

@@ -7,8 +7,6 @@ import pytest
 
 from carnot.errors import NonFiniteState, TooFewSamples
 from carnot.geodesics import (
-    GeodesicTrace,
-    abnormal_residual,
     integrate_normal,
     integrate_stepwise,
     normal_rhs,
@@ -169,49 +167,6 @@ def test_too_few_samples():
     g = h1()
     with pytest.raises(TooFewSamples):
         integrate_normal(g, np.zeros(3), np.ones(3), 1.0, 0)
-    tiny = integrate_normal(g, np.zeros(3), np.ones(3), 1.0, 2)
-    with pytest.raises(TooFewSamples):
-        abnormal_residual(g, tiny)
-
-
-def test_richardson_diagnostic():
-    g = h1()
-    tr = integrate_normal(g, np.zeros(3), [1.0, 0.0, 3.0], 2.0, 100, richardson=True)
-    assert 0.0 < tr.meta["richardson_error"] < 1e-6
-    fine = integrate_normal(g, np.zeros(3), [1.0, 0.0, 3.0], 2.0, 3200)
-    true_err = max(
-        np.max(np.abs(tr.xs[-1] - fine.xs[-1])),
-        np.max(np.abs(tr.ps[-1] - fine.ps[-1])),
-    )
-    assert 0.5 * true_err < tr.meta["richardson_error"] < 2.0 * true_err
-
-
-def test_abnormal_residual_on_true_abnormal():
-    # growth (3,2) with [e1,e2]=e4, [e1,e3]=e5: the e2-axis line with
-    # covector P = e5 satisfies all four abnormal conditions.
-    g = build_group((3, 2), [(4, 1, 2, 1.0), (5, 1, 3, 1.0)])
-    times = np.linspace(0.0, 1.0, 101)
-    xs = np.zeros((101, 5))
-    xs[:, 1] = times
-    ps = np.zeros((101, 5))
-    ps[:, 4] = 1.0
-    res = abnormal_residual(g, GeodesicTrace(times, xs, ps))
-    assert res["consistent"]
-    for name in (
-        "algebraic",
-        "vertical_momentum",
-        "vertical_velocity",
-        "horizontal_momentum",
-    ):
-        assert res["sup"][name] < 1e-12
-
-
-def test_abnormal_residual_flags_normal_geodesic():
-    g = h1()
-    tr = integrate_normal(g, np.zeros(3), [1.0, 0.0, 1.0], 1.0, 100)
-    res = abnormal_residual(g, tr)
-    assert not res["consistent"]
-    np.testing.assert_allclose(res["horizontal_momentum"], 1.0, atol=1e-12)
 
 
 def test_trace_exports():

@@ -19,17 +19,21 @@ from carnot.errors import (
 from carnot.groups import group_product, h1, hn
 from carnot.surfaces import (
     build_chart,
-    coordinate_hyperplane,
     delta_H,
     frame_gradient,
     grad_delta_H,
     metric_normal,
-    phi_jacobian,
     phi_map,
     polynomial_field,
     project_to_surface,
     surface_normals,
 )
+
+
+def plane(n, axis):
+    # the coordinate hyperplane {x_axis = 0}, axis 1-based like coordinates
+    exps = tuple(int(i == axis - 1) for i in range(n))
+    return polynomial_field(n, [(1.0, exps)], name="x%d" % axis)
 
 
 def paraboloid():
@@ -41,7 +45,7 @@ def paraboloid():
 
 def test_normals_h1_reference_values():
     g = h1()
-    f3 = coordinate_hyperplane(3, 3)
+    f3 = plane(3, 3)
     nd = surface_normals(g, f3, [1.0, 0.0, 0.0])
     assert not nd.characteristic
     np.testing.assert_allclose(nd.nuH, [0.0, 1.0], atol=1e-14)
@@ -57,7 +61,7 @@ def test_normals_h1_reference_values():
 
 def test_characteristic_point_flagged_not_fatal():
     g = h1()
-    nd = surface_normals(g, coordinate_hyperplane(3, 3), np.zeros(3))
+    nd = surface_normals(g, plane(3, 3), np.zeros(3))
     assert nd.characteristic
     assert nd.nuH is None and nd.varpi is None
     np.testing.assert_allclose(nd.nu, [0.0, 0.0, 1.0], atol=1e-14)
@@ -67,7 +71,7 @@ def test_characteristic_point_flagged_not_fatal():
 
 def test_vertical_hyperplane_normals_everywhere():
     g = hn(2)
-    f1 = coordinate_hyperplane(5, 1)
+    f1 = plane(5, 1)
     rng = np.random.default_rng(2)
     for _ in range(4):
         nd = surface_normals(g, f1, rng.normal(size=5))
@@ -102,7 +106,7 @@ def test_polynomial_field_gradient_matches_fd():
 
 def test_metric_normal_straight_case():
     g = h1()
-    f1 = coordinate_hyperplane(3, 1)
+    f1 = plane(3, 1)
     tr = metric_normal(g, f1, np.zeros(3), t_range=(0.0, 1.0), samples=21)
     line = np.outer(tr.times, [1.0, 0.0, 0.0])
     assert np.max(np.abs(tr.xs - line)) < 1e-14
@@ -111,7 +115,7 @@ def test_metric_normal_straight_case():
 
 def test_metric_normal_momentum_and_mirror():
     g = h1()
-    f3 = coordinate_hyperplane(3, 3)
+    f3 = plane(3, 3)
     y = np.array([1.0, 0.0, 0.0])
     plus = metric_normal(g, f3, y, t_range=(0.0, 0.8), samples=9)
     np.testing.assert_allclose(plus.ps[0], [0.0, 1.0, 2.0], atol=1e-13)
@@ -122,7 +126,7 @@ def test_metric_normal_momentum_and_mirror():
 
 def test_metric_normal_gates():
     g = h1()
-    f3 = coordinate_hyperplane(3, 3)
+    f3 = plane(3, 3)
     with pytest.raises(NotOnSurface):
         metric_normal(g, f3, [0.0, 0.0, 0.5])
     with pytest.raises(Characteristic):
@@ -132,7 +136,7 @@ def test_metric_normal_gates():
 def test_hyperplane_chart_is_exact():
     g = h1()
     chart = build_chart(
-        g, coordinate_hyperplane(3, 1), np.zeros(3), radius=1.2, eps0=0.8
+        g, plane(3, 1), np.zeros(3), radius=1.2, eps0=0.8
     )
     assert chart.eps0 == 0.8  # nothing to shrink for straight normals
     rng = np.random.default_rng(4)
@@ -149,7 +153,7 @@ def test_hyperplane_chart_is_exact():
 def test_projection_fixed_point_on_surface():
     g = h1()
     chart = build_chart(
-        g, coordinate_hyperplane(3, 1), np.zeros(3), radius=1.0, eps0=0.5
+        g, plane(3, 1), np.zeros(3), radius=1.0, eps0=0.5
     )
     x = np.array([0.0, 0.3, -0.2])
     res = project_to_surface(chart, x)
@@ -173,7 +177,7 @@ def test_delta_lower_bounds_surface_grid():
     # no sampled surface point is closer than delta_H says
     g = h1()
     chart = build_chart(
-        g, coordinate_hyperplane(3, 1), np.zeros(3), radius=1.6, eps0=0.9
+        g, plane(3, 1), np.zeros(3), radius=1.6, eps0=0.9
     )
     x = np.array([0.3, 0.25, -0.1])
     d = delta_H(chart, x)
@@ -198,32 +202,47 @@ def test_delta_lower_bounds_surface_grid():
     assert batch.T.min() - d < 1e-6
 
 
+def phi_det_at_base(chart):
+    """|det J Phi(base, 0)| by central differences, and |g_H| / |grad f|.
+
+    The chart's tangent basis E is Euclidean-orthonormal, so the surface
+    columns are differences of surface_point along E and the last column
+    the difference of the metric normal through the base in t.
+    """
+    g, base, step = chart.group, chart.base, 1e-4
+    d = g.n - 1
+    U = step * np.concatenate([np.eye(d), -np.eye(d)])
+    ys = chart.surface_point(U)
+    cols = np.empty((g.n, g.n))
+    cols[:, :d] = ((ys[:d] - ys[d:]) / (2.0 * step)).T
+    cols[:, d] = (phi_map(chart, base, step) - phi_map(chart, base, -step)) / (
+        2.0 * step
+    )
+    gH = frame_gradient(g, chart.field, base)[: g.h]
+    closed = np.linalg.norm(gH) / np.linalg.norm(chart.field.coordinate_gradient(base))
+    return abs(np.linalg.det(cols)), closed
+
+
 def test_phi_jacobian_values():
     g = h1()
-    chart = build_chart(
-        g, coordinate_hyperplane(3, 1), np.zeros(3), radius=1.0, eps0=0.5
-    )
-    pj = phi_jacobian(chart, np.array([0.0, 0.4, 0.1]))
-    assert abs(pj.closed_form - 1.0) < 1e-12
-    assert abs(pj.fd - pj.closed_form) < 1e-8
+    chart = build_chart(g, plane(3, 1), np.zeros(3), radius=1.0, eps0=0.5)
+    fd, closed = phi_det_at_base(chart)
+    assert abs(closed - 1.0) < 1e-12
+    assert abs(fd - closed) < 1e-8
 
-    f3 = coordinate_hyperplane(3, 3)
-    chart3 = build_chart(g, f3, [1.0, 0.0, 0.0], radius=0.3, eps0=0.2)
-    pj3 = phi_jacobian(chart3, np.array([1.0, 0.0, 0.0]))
+    chart3 = build_chart(g, plane(3, 3), [1.0, 0.0, 0.0], radius=0.3, eps0=0.2)
+    fd3, closed3 = phi_det_at_base(chart3)
     # |g_H| / |grad f| = |(0, 1/2)| / 1
-    assert abs(pj3.closed_form - 0.5) < 1e-12
-    assert abs(pj3.fd - pj3.closed_form) < 1e-6
+    assert abs(closed3 - 0.5) < 1e-12
+    assert abs(fd3 - closed3) < 1e-6
 
 
 def test_phi_jacobian_curved_surface():
     g = h1()
-    chart = build_chart(g, paraboloid(), np.zeros(3), radius=0.5, eps0=0.4)
-    rng = np.random.default_rng(6)
-    for _ in range(4):
-        u = rng.uniform(-0.3, 0.3, size=2)
-        y = chart.surface_point(u[None, :])[0]
-        pj = phi_jacobian(chart, y)
-        assert abs(pj.fd - pj.closed_form) < 1e-5
+    for base in ([0.0, 0.0, 0.0], [0.04, 0.2, 0.3]):
+        chart = build_chart(g, paraboloid(), base, radius=0.3, eps0=0.2)
+        fd, closed = phi_det_at_base(chart)
+        assert abs(fd - closed) < 1e-7
 
 
 def test_grad_delta_matches_fd_and_eikonal():
@@ -250,13 +269,13 @@ def test_grad_delta_matches_fd_and_eikonal():
 
 def test_chart_gates():
     g = h1()
-    f3 = coordinate_hyperplane(3, 3)
+    f3 = plane(3, 3)
     with pytest.raises(Characteristic):
         build_chart(g, f3, np.zeros(3), radius=0.2, eps0=0.2)
     with pytest.raises(NotOnSurface):
         build_chart(g, f3, [1.0, 0.0, 0.5], radius=0.2, eps0=0.2)
     chart = build_chart(
-        g, coordinate_hyperplane(3, 1), np.zeros(3), radius=0.4, eps0=0.3
+        g, plane(3, 1), np.zeros(3), radius=0.4, eps0=0.3
     )
     with pytest.raises(OutsideChart):
         project_to_surface(chart, np.array([0.35, 0.0, 0.0]))
@@ -269,7 +288,7 @@ def test_chart_gates():
 def test_h2_hyperplane_chart():
     g = hn(2)
     chart = build_chart(
-        g, coordinate_hyperplane(5, 1), np.zeros(5), radius=1.0, eps0=0.6
+        g, plane(5, 1), np.zeros(5), radius=1.0, eps0=0.6
     )
     rng = np.random.default_rng(8)
     xs = rng.uniform(-0.4, 0.4, size=(4, 5))

@@ -14,6 +14,7 @@ from carnot.errors import (
     EndpointViolation,
     GridMismatch,
     NotUnitSpeed,
+    TooFewSamples,
 )
 from carnot.expmap import exp_sr_2step, skew_canonical
 from carnot.geodesics import GeodesicTrace, integrate_normal
@@ -28,6 +29,7 @@ from carnot.groups import (
 )
 from carnot.variations import (
     FieldAlongCurve,
+    _simpson,
     connection_data,
     covariant_derivative_along,
     first_variation_check,
@@ -310,6 +312,17 @@ def test_covdiff_grid_mismatch():
 
 
 # ------------------------------------------------------------------- action
+
+
+def test_simpson_exact_for_cubics():
+    # m = 3 is the pure 3/8 rule, odd m > 3 composite 1/3 with a 3/8 tail
+    for m in (2, 3, 4, 5, 7):
+        x = np.linspace(0.0, 1.3, m + 1)
+        y = 0.7 - 1.1 * x + 2.5 * x**2 - 1.9 * x**3
+        exact = 0.7 * 1.3 - 0.55 * 1.3**2 + 2.5 / 3 * 1.3**3 - 1.9 / 4 * 1.3**4
+        assert abs(_simpson(y, 1.3 / m) - exact) < 1e-14
+    with pytest.raises(TooFewSamples):
+        _simpson(np.ones(2), 0.5)
 
 
 def test_sr_action_unit_geodesic():
