@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .distance import (
+    MAX_ITER,
     conjugate_detect,
     distance_point,
     gauss_system_integrate,
@@ -496,7 +497,7 @@ def _build_parser():
     d.add_argument("--from", dest="from_", required=True)
     d.add_argument("--to", required=True)
     d.add_argument("--starts", type=int, default=16)
-    d.add_argument("--max-iter", type=int, default=60)
+    d.add_argument("--max-iter", type=int, default=MAX_ITER)
     d.set_defaults(func=cmd_distance)
 
     s = sub.add_parser("sphere", help="sample a CC-sphere point cloud")

@@ -47,6 +47,16 @@ turn. For a normal geodesic that is also abnormal this half is not proved;
 a scan of 360 random covectors on six random groups found no conjugate time
 before the turn.
 
+The shooting solver uses this to stop early. A converged root with
+sigma_max(C_H(eta)) T < 2 pi (strictly, so it is never one the conjugate
+scan below looks at) is certified: T is the distance, and no other start
+can do better than find the same minimizer again. So a target's remaining
+tracks stop as soon as one of its tracks converges to a certified root.
+The stop is per target, so a row's bits do not depend on the other rows of
+its batch. Targets with no certified root run every track to the end and
+take the path below; ``ShootingBatch.certified`` reports which targets'
+returned roots are certified.
+
 Multiple roots are real (they appear past conjugate points, and targets on
 the vertical axis carry whole families of minimizers), hence the multi-start
 lattice. Converged roots with a conjugate time strictly before their
@@ -80,6 +90,7 @@ from .groups import CarnotGroup, c_operator, group_product
 __all__ = [
     "ShootingSolution",
     "ShootingBatch",
+    "MAX_ITER",
     "SphereSample",
     "gauss_system_integrate",
     "distance_point",
@@ -93,6 +104,9 @@ __all__ = [
 UNIT_TOL = 1e-9
 AXIS_TOL = 1e-9
 ROOT_TOL = 1e-10
+# Gauss-Newton iterations per shooting track; tracks next to an
+# ill-conditioned root creep and need more than a hundred
+MAX_ITER = 200
 SPHERE_REL_TOL = 1e-5
 TIE_REL = 1e-9
 DISTINCT_ROOT_TOL = 1e-5
@@ -170,7 +184,12 @@ class ShootingSolution:
 
 @dataclass
 class ShootingBatch:
-    """Vectorized shooting results for a batch of targets (arrays over m)."""
+    """Vectorized shooting results for a batch of targets (arrays over m).
+
+    ``certified`` marks converged targets whose returned covector turns less
+    than a full period of its fastest rotation, sigma_max(C_H(eta)) T < 2 pi:
+    their root is the unique minimizer, so T is the distance.
+    """
 
     T: np.ndarray
     P0: np.ndarray
@@ -178,6 +197,7 @@ class ShootingBatch:
     multiplicity: np.ndarray
     on_axis: np.ndarray
     converged: np.ndarray
+    certified: np.ndarray
     group: CarnotGroup | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
@@ -317,8 +337,11 @@ def _endpoints(group, w, eta, T):
 def _shoot(group, targets, starts, max_iter):
     """Damped Gauss-Newton over all (target, start) tracks simultaneously.
 
-    Returns per-track arrays of shape (m, starts): directions, covectors,
-    times, residual norms and convergence flags.
+    A target's tracks stop once one of them converges to a certified root
+    (sigma_max(C_H(eta)) T < 2 pi, the unique minimizer); the others of that
+    target are left where they are, unconverged. Returns per-track arrays of
+    shape (m, starts): directions, covectors, times, residual norms and
+    convergence flags.
     """
     h, v, n = group.h, group.v, group.n
     m = targets.shape[0]
@@ -338,12 +361,18 @@ def _shoot(group, targets, starts, max_iter):
     fn = np.linalg.norm(F, axis=1)
     conv = fn <= track_tol
     dead = np.zeros(K, dtype=bool)
+    owner = np.repeat(np.arange(m), starts)
+    solved = np.zeros(m, dtype=bool)
+    new = conv.copy()
     dsig = 1e-6
     dang = 1e-6
     nu = n  # unknowns: (h-1) angles + v covector components + log-time
 
     for _ in range(max_iter):
-        act = ~conv & ~dead
+        k = np.nonzero(new)[0]
+        certified = _top_frequency(group, eta[k]) * T[k] < 2.0 * np.pi
+        solved[owner[k[certified]]] = True
+        act = ~conv & ~dead & ~solved[owner]
         if not act.any():
             break
         idx = np.nonzero(act)[0]
@@ -400,7 +429,9 @@ def _shoot(group, targets, starts, max_iter):
         F[idx[better]] = Fc[better]
         fn[idx[better]] = fnc[better]
         lam[idx] = np.where(better, np.maximum(lama * 0.3, 1e-12), lama * 7.0)
-        conv[idx] = fn[idx] <= track_tol[idx]
+        new = np.zeros(K, dtype=bool)
+        new[idx] = fn[idx] <= track_tol[idx]
+        conv |= new
         dead[idx] = ~conv[idx] & (lam[idx] > 1e10)
 
     shape = (m, starts)
@@ -655,28 +686,32 @@ def _reduce(group, x0, targets):
     return group_product(group, -x0, targets)
 
 
-def distance_batch(group, x0, targets, starts=16, max_iter=60):
+def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
     """CC-distances from one base point to a batch of targets.
 
     Reduces every target to the origin by left translation. On corank-1
     groups each target is solved exactly (``starts`` and ``max_iter`` are
     not used) and counts as converged when the returned covector reaches it
     within ROOT_TOL relative to max(1, |z|). On corank >= 2 the multi-start
-    shooting solver runs on the whole batch; converged roots with a
-    conjugate time before their arrival are dropped, a target with no
-    converged root left, or whose smallest one has turned a full period of
-    its fastest rotation, is solved again as its inverse -z with the roots
-    mapped back, and the remaining roots are folded by the one rule of
-    ``_pick``: minimal T first, then the lexicographically smallest initial
-    covector, the first of equal ones winning. Targets whose minimizing
+    shooting solver runs on the whole batch, each target until one of its
+    tracks converges to a certified root (turning less than a full period of
+    its fastest rotation); converged roots with a conjugate time before
+    their arrival are dropped, a target with no converged root left, or
+    whose smallest one has turned a full period of its fastest rotation, is
+    solved again as its inverse -z with the roots mapped back, and the
+    remaining roots are folded by the one rule of ``_pick``: minimal T
+    first, then the lexicographically smallest initial covector, the first
+    of equal ones winning. Targets whose minimizing
     roots disagree in covector while tying in time are flagged with
     ``multiplicity``, as are corank-1 targets reached by a family of
     minimizers and vertical-axis targets (horizontal offset below 1e-9).
     Targets left with no root carry their best residual and
     ``converged=False``: no start converged on z or on -z, or (corank >= 2)
     every converged root of both ran past a conjugate point. For them
-    ``solution(i)`` raises NoConvergence. A NaN or infinite coordinate in
-    x0 or the targets raises NonFiniteState.
+    ``solution(i)`` raises NoConvergence. ``certified`` marks, on every
+    corank, the converged targets whose returned covector turns less than a
+    full period over T. A NaN or infinite coordinate in x0 or the targets
+    raises NonFiniteState.
     """
     require_step2(group, "distance")
     reduced = _reduce(group, x0, targets)
@@ -710,6 +745,7 @@ def distance_batch(group, x0, targets, starts=16, max_iter=60):
         mult_out[sel] = found & (mult | on_axis[sel])
         conv_out[sel] = found
 
+    turn = _top_frequency(group, P_out[:, h:]) * T_out
     return ShootingBatch(
         T=T_out,
         P0=P_out,
@@ -717,11 +753,12 @@ def distance_batch(group, x0, targets, starts=16, max_iter=60):
         multiplicity=mult_out,
         on_axis=on_axis,
         converged=conv_out,
+        certified=conv_out & (turn < 2.0 * np.pi),
         group=group,
     )
 
 
-def distance_point(group, x, y, starts=16, max_iter=60):
+def distance_point(group, x, y, starts=16, max_iter=MAX_ITER):
     """CC-distance between two points as a ShootingSolution (T = distance)."""
     batch = distance_batch(
         group, x, np.asarray(y, dtype=float)[None, :], starts, max_iter

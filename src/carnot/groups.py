@@ -420,7 +420,10 @@ def load_group(path) -> CarnotGroup:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: {e}") from e
         if "growth" not in data:
             raise ValueError(f"{path}: missing 'growth'")
         return build_group(

@@ -84,6 +84,22 @@ def test_bad_group_file_exit_2(capsys, tmp_path):
         assert_config_error(code, out, err)
 
 
+def test_bad_group_file_error_names_the_file(capsys, tmp_path):
+    # both file forms: the error line says which file is malformed
+    for name, text in (
+        ("three.txt", "growth: 2 1\n3 1 2\n"),
+        ("cut.json", '{"growth": [2, 1], "constants": [[3, 1'),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "geodesic", "--group", str(path), "--x0", "0,0,0",
+            "--p0", "1,0,0", "--T", "1",
+        )
+        assert_config_error(code, out, err)
+        assert err.startswith("error: %s:" % path)
+
+
 def test_bad_starts_exit_2(capsys, tmp_path):
     # corank 2: [e1, e2] = e4, [e1, e3] = e5, so the start lattice is used
     path = tmp_path / "c2.txt"

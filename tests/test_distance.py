@@ -130,6 +130,57 @@ def test_full_turn_root_retried_on_inverse():
     assert np.max(np.abs(reached - y)) < 1e-9
 
 
+def test_rows_independent_of_certified_neighbours():
+    # the tracks of a target stop once one of them certifies a root; that
+    # stop is per target, so the target of the test above, which has no
+    # certified root on z, gets the same bits next to certified targets
+    g = random_two_step(4, 3, np.random.default_rng(8))
+    rng = np.random.default_rng(3)
+    lengths = np.geomspace(0.5, 2.0, 5)
+    P0 = np.empty((5, g.n))
+    for i, L in enumerate(lengths):
+        nu = rng.normal(size=g.h)
+        e = rng.normal(size=g.v)
+        sigma = np.linalg.norm(c_operator(g, e, horizontal=True), ord=2)
+        P0[i, : g.h] = nu / np.linalg.norm(nu)
+        P0[i, g.h :] = e * 0.4 * 2.0 * np.pi / (L * sigma)
+    targets = exp_sr_2step(g, np.zeros(g.n), P0, lengths)
+    y = np.array([0.665, 0.474, 0.04, 1.015, -0.262, 0.436, 0.86])
+    targets = np.insert(targets, 2, y, axis=0)
+    batch = distance_batch(g, np.zeros(g.n), targets)
+    assert batch.converged.all()
+    assert abs(batch.T[2] - 3.541218) < 1e-6
+    for i, z in enumerate(targets):
+        alone = distance_batch(g, np.zeros(g.n), z[None])
+        assert np.array_equal(alone.T, batch.T[i : i + 1])
+        assert np.array_equal(alone.P0, batch.P0[i : i + 1])
+        assert np.array_equal(alone.residual, batch.residual[i : i + 1])
+
+
+def test_short_targets_next_to_ill_conditioned_roots():
+    # short, nearly horizontal targets on the benchmark's corank-3 group
+    # whose roots have Jacobian singular values down to 1e-6: damped
+    # Gauss-Newton creeps there, and converges within MAX_ITER iterations
+    g = random_two_step(4, 3, np.random.default_rng(20091030))
+    targets = np.array([
+        [-0.273298123131227, -0.017708248213698402, 0.0016673518898630917,
+         4.788676813452606e-05, 0.012830560488431755, 0.006469360853391285,
+         0.0007491184852325252],
+        [0.25131265515745826, -0.22276524208743248, -0.5240698384954843,
+         -0.2021947669644795, -0.00037743234534506014,
+         0.0010683258904815535, -0.0061337479535035775],
+        [-0.28037880186397307, 0.45025638739050594, -0.2519629797683692,
+         0.5406442350737763, 0.0008584410030011658, -0.0006451466780140892,
+         0.002592017270301446],
+    ])
+    planted = np.array([0.32441504893233897, 0.6561481298641704, 0.798368262419097])
+    batch = distance_batch(g, np.zeros(g.n), targets)
+    assert batch.converged.all()
+    reached = exp_sr_2step(g, np.zeros(g.n), batch.P0, batch.T)
+    assert np.max(np.abs(reached - targets)) < 1e-9
+    assert np.all(batch.T <= planted * (1.0 + 1e-9))
+
+
 def test_unconverged_target_retried_on_inverse():
     # no start of the lattice converges on y (best residual 0.30); -y is
     # solved too, and its minimizer reversed reaches y at d(y, 0)
@@ -342,6 +393,8 @@ def test_normal_geodesic_minimizes_up_to_the_fastest_turn():
     assert batch.converged.all()
     assert np.max(np.abs(batch.T - lengths) / lengths) < 1e-8
     assert not batch.multiplicity.any()
+    # d = T for every certified root
+    assert batch.certified.all()
 
 
 def test_sphere_sample_h1():

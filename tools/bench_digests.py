@@ -4,10 +4,17 @@ Runs the first ROUNDS rounds of each workload and each seed of SEEDS through
 ``perfbench/workloads.py``, judges every operation with ``run.judge`` and
 prints, per workload, seed and kind of operation, the first 16 hex digits of
 a sha256 over the operations' digests in order, and how many verdicts were
-not "ok":
+not "ok"; then one line per verdict that was not "ok", giving its round, the
+operation's place among the round's operations and the target's (or
+command's) place within the operation, each counted from 0:
 
     python3 tools/bench_digests.py
     python3 tools/bench_digests.py --root ../parent
+    python3 tools/bench_digests.py --workload shoot-corank3 --rounds 24 --seeds 1 2 9001
+
+``--workload``, ``--rounds`` and ``--seeds`` pick what runs (default: every
+workload, ROUNDS rounds, the seeds SEEDS), so a faster change can be checked
+on the rounds that its 20-second run reaches.
 
 With ``--root`` the checkout named there (a copy of the parent commit, say)
 runs first, then the one holding this script, and each line also gives the
@@ -26,6 +33,7 @@ does.
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import sys
@@ -48,16 +56,17 @@ def _numeric(a):
     return np.asarray(a, dtype=float)
 
 
-def digests(wl, seed, judge, captured):
+def digests(wl, seed, judge, captured, rounds, bad_ops):
     """{kind: [hash prefix, non-ok count, per-op digested arrays]}, in first-seen order.
 
     ``captured`` is the list the wrapped ``workloads._digest`` appends each
-    call's arrays to.
+    call's arrays to; (round, op, target, kind, verdict) of every verdict
+    that is not "ok" is appended to ``bad_ops``.
     """
     out = {}
     gen = wl.rounds(wl.setup(seed))
-    for _ in range(ROUNDS):
-        for op in next(gen):
+    for rnd in range(rounds):
+        for i, op in enumerate(next(gen)):
             res = err = None
             try:
                 res = op.run()
@@ -67,13 +76,16 @@ def digests(wl, seed, judge, captured):
             verdicts, digest = judge(op, res, err)
             entry = out.setdefault(op.kind, [hashlib.sha256(), 0, []])
             entry[0].update(digest.encode())
-            entry[1] += sum(v != "ok" for v in verdicts)
+            failed = [(rnd, i, j, op.kind, v) for j, v in enumerate(verdicts) if v != "ok"]
+            entry[1] += len(failed)
+            bad_ops += failed
             entry[2].append([_numeric(a) for a in captured[0]] if captured else None)
     return {k: (h.hexdigest()[:16], bad, arrays) for k, (h, bad, arrays) in out.items()}
 
 
-def collect(root):
-    """Digests of every workload, seed and kind with ``root``'s carnot and perfbench."""
+def collect(root, names, seeds, rounds):
+    """Digests of the workloads ``names`` (None: all), per seed and kind, with
+    ``root``'s carnot and perfbench: {(name, seed): (kinds, non-ok verdicts)}."""
     paths = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     sys.path[:0] = paths
     try:
@@ -88,11 +100,14 @@ def collect(root):
             return digest(*arrays)
 
         workloads._digest = capture
-        return {
-            (name, seed): digests(wl, seed, run.judge, captured)
-            for name, wl in workloads.workloads(root).items()
-            for seed in SEEDS
-        }
+        out = {}
+        for name, wl in workloads.workloads(root).items():
+            if names and name not in names:
+                continue
+            for seed in seeds:
+                bad = []
+                out[name, seed] = digests(wl, seed, run.judge, captured, rounds, bad), bad
+        return out
     finally:
         # forget root's modules, so a second checkout imports its own
         for p in paths:
@@ -126,15 +141,25 @@ def main(argv=None):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--root", help="checkout to compare with (default: none)")
+    with open(os.path.join(here, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    p.add_argument("--workload", nargs="+", choices=names, help="workloads to run (default: all)")
+    p.add_argument("--rounds", type=int, default=ROUNDS, help="rounds per workload and seed (default: %(default)s)")
+    p.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS), help="seeds (default: %(default)s)")
     args = p.parse_args(argv)
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
 
-    parent = collect(os.path.abspath(args.root)) if args.root else None
+    picked = (args.workload, args.seeds, args.rounds)
+    parent = collect(os.path.abspath(args.root), *picked) if args.root else None
     nonok = 0
-    for (name, seed), kinds in collect(here).items():
+    bad_lines = []
+    for (name, seed), (kinds, bad_ops) in collect(here, *picked).items():
+        bad_lines += ["%-14s %5d round %d op %d target %d %s: %s" % ((name, seed) + b) for b in bad_ops]
         for kind, (prefix, bad, arrays) in kinds.items():
             line = "%-14s %5d %-16s %s non-ok=%d" % (name, seed, kind, prefix, bad)
             if parent is not None:
-                theirs = parent.get((name, seed), {}).get(kind)
+                theirs = parent.get((name, seed), ({}, []))[0].get(kind)
                 if theirs is None:
                     line += " max|d| n/a"
                 elif theirs[0] == prefix:
@@ -143,6 +168,8 @@ def main(argv=None):
                     line += " max|d| " + max_dev(arrays, theirs[2])
             print(line)
             nonok += bad
+    for line in bad_lines:
+        print(line)
     print("non-ok verdicts: %d" % nonok)
     return 0
 
