@@ -27,11 +27,20 @@ arrival time). The solver is a damped Gauss-Newton iteration on batches of
 (target, start) tracks at once, with the direction handled in local angular
 coordinates (an orthonormal basis of the tangent plane at the current
 direction, re-centered every iteration, so there are no chart poles) and the
-time through its logarithm (positivity for free). The Jacobian is forward
-finite differences of the closed-form exponential; direction and time
-columns reuse the spectral data of the current vertical covector, so each
-iteration costs one eigendecomposition per covector perturbation plus one
-for the candidate.
+time through its logarithm (positivity for free). The direction and time
+columns of the Jacobian are exact: the closed form is linear in the
+horizontal momentum in its horizontal part and quadratic in its vertical
+part, so ``ClosedFormPath.jet`` gives the derivative along each tangent
+direction by polarization, from the same spectral data, sinc/hv factors and
+product integrals as the point itself, and d/d(log T) is T times the arrival
+velocity. The v vertical-covector columns are forward differences, each
+on the spectral data of its perturbed covector, so an iteration builds
+1 + v + 1 spectral sets per track (current point, perturbations,
+candidate) and evaluates the closed form as many times, the jet counting
+once. A track that after PLATEAU_ITER iterations still misses its target by
+more than PLATEAU_TOL relative to max(1, |z|) sits on a plateau away from
+every root and stops there; tracks creeping next to an ill-conditioned root
+are below about 1e-5 by then.
 
 Where a normal geodesic stops minimizing. Let (nu, eta) be unit-horizontal
 and sigma_max(C_H(eta)) T < 2 pi. The projection onto the corank-1 quotient
@@ -107,6 +116,10 @@ ROOT_TOL = 1e-10
 # Gauss-Newton iterations per shooting track; tracks next to an
 # ill-conditioned root creep and need more than a hundred
 MAX_ITER = 200
+# the plateau stop of the module docstring: iterations, residual relative to
+# max(1, |z|)
+PLATEAU_ITER = 60
+PLATEAU_TOL = 1e-4
 SPHERE_REL_TOL = 1e-5
 TIE_REL = 1e-9
 DISTINCT_ROOT_TOL = 1e-5
@@ -339,7 +352,8 @@ def _shoot(group, targets, starts, max_iter):
 
     A target's tracks stop once one of them converges to a certified root
     (sigma_max(C_H(eta)) T < 2 pi, the unique minimizer); the others of that
-    target are left where they are, unconverged. Returns per-track arrays of
+    target are left where they are, unconverged, as are tracks still on a
+    plateau after PLATEAU_ITER iterations. Returns per-track arrays of
     shape (m, starts): directions, covectors, times, residual norms and
     convergence flags.
     """
@@ -351,9 +365,8 @@ def _shoot(group, targets, starts, max_iter):
     eta = eta0.reshape(K, v)
     T = T0.reshape(K)
     y = np.repeat(targets, starts, axis=0)
-    track_tol = ROOT_TOL * np.repeat(
-        np.maximum(1.0, np.linalg.norm(targets, axis=1)), starts
-    )
+    scale = np.repeat(np.maximum(1.0, np.linalg.norm(targets, axis=1)), starts)
+    track_tol = ROOT_TOL * scale
 
     lam = np.full(K, 1e-3)
     pts = _endpoints(group, w, eta, T)
@@ -364,14 +377,14 @@ def _shoot(group, targets, starts, max_iter):
     owner = np.repeat(np.arange(m), starts)
     solved = np.zeros(m, dtype=bool)
     new = conv.copy()
-    dsig = 1e-6
-    dang = 1e-6
     nu = n  # unknowns: (h-1) angles + v covector components + log-time
 
-    for _ in range(max_iter):
+    for it in range(max_iter):
         k = np.nonzero(new)[0]
         certified = _top_frequency(group, eta[k]) * T[k] < 2.0 * np.pi
         solved[owner[k[certified]]] = True
+        if it >= PLATEAU_ITER:
+            dead |= ~conv & (fn > PLATEAU_TOL * scale)
         act = ~conv & ~dead & ~solved[owner]
         if not act.any():
             break
@@ -380,31 +393,27 @@ def _shoot(group, targets, starts, max_iter):
         ya, fna, lama = y[idx], fn[idx], lam[idx]
         ka = idx.size
 
-        path = ClosedFormPath(
-            group=group, x0=np.zeros(n), P0=np.concatenate([wa, ea], axis=-1)
-        )
-        pts2 = path.point(np.stack([Ta, Ta * np.exp(dsig)]))
-        base = pts2[0]
+        # exact direction and log-time columns (the direction chart's
+        # derivative at 0 is the tangent basis V, d/dlog T is T times the
+        # velocity); forward differences in the vertical covector
+        V = _tangent_basis(wa)
+        Pa = np.concatenate([wa, ea], axis=-1)
+        base, xdot, ddir = ClosedFormPath(
+            group=group, x0=np.zeros(n), P0=Pa
+        ).jet(Ta, np.moveaxis(V, 2, 0))
         Fb = base - ya
 
         J = np.empty((ka, n, nu))
-        V = _tangent_basis(wa)
-        Wp = wa[None] + dang * np.moveaxis(V, 2, 0)
-        Wp = Wp / np.linalg.norm(Wp, axis=-1, keepdims=True)
-        ptsA = path.with_horizontal(Wp).point(Ta)
-        J[:, :, : h - 1] = np.moveaxis((ptsA - base) / dang, 0, 2)
-
+        J[:, :, : h - 1] = np.moveaxis(ddir, 0, 2)
+        J[:, :, -1] = Ta[:, None] * xdot
         se = 1e-6 * np.maximum(1.0, np.abs(ea))
-        P0e = np.broadcast_to(
-            np.concatenate([wa, ea], axis=-1), (v, ka, n)
-        ).copy()
+        P0e = np.broadcast_to(Pa, (v, ka, n)).copy()
         for a in range(v):
             P0e[a, :, h + a] += se[:, a]
         ptsE = ClosedFormPath(group=group, x0=np.zeros(n), P0=P0e).point(Ta)
         J[:, :, h - 1 : h - 1 + v] = np.moveaxis(
             (ptsE - base) / se.T[:, :, None], 0, 2
         )
-        J[:, :, -1] = (pts2[1] - base) / dsig
 
         A = np.einsum("kri,krj->kij", J, J)
         g = np.einsum("kri,kr->ki", J, Fb)

@@ -30,10 +30,16 @@ the part of the integral quadratic in P_H(0) is
 
 with T1..T4 the product integrals at (sigma_p t, sigma_r t) times t^2, t^3,
 t^3 and t^4. The K_k come from batched matrix products of CU and C(MU), and
-the four terms from one contraction of the stacked tensors. All formulas
-are valid for negative t and broadcast over batches of covectors; t itself
-broadcasts against the batch shape, so a trailing grid axis on the batch
-gives whole trajectories in one call.
+the four terms from one contraction of the stacked tensors.
+
+x_H(t) is linear and x_V(t) quadratic in P_H(0), so by polarization the
+derivative along a horizontal momentum dP_H is exact: E(t) dP_H, and
+-(1/2) dq^T (G_a + G_a^T) q with dq = U^T dP_H, G_a = K1 T1 - K2 T2 - K3 T3
++ K4 T4, plus the part linear in x_H(0).
+
+All formulas are valid for negative t and broadcast over batches of
+covectors; t itself broadcasts against the batch shape, so a trailing grid
+axis on the batch gives whole trajectories in one call.
 """
 
 import copy
@@ -43,7 +49,7 @@ import numpy as np
 
 from . import _trig
 from .errors import NotSkew, WrongStep
-from .groups import CarnotGroup, c_operator
+from .groups import CarnotGroup, c_operator, frame_apply
 
 __all__ = [
     "SkewCanonicalForm",
@@ -209,40 +215,60 @@ class ClosedFormPath:
         tB = np.broadcast_to(t, out)
         return tB, tB[..., None] * np.broadcast_to(self.sigma, out + self.sigma.shape[-1:])
 
-    def horizontal(self, t):
-        """x_H(t) and its time derivative P_H(t), shapes B + (h,)."""
+    def _factors(self, t):
+        """t, z = sigma t and the per-frequency factors t sinc(z), t^2 hv(z).
+
+        The factors are the diagonals of E(t) in the eigenbasis: with
+        a = q-coordinates of a horizontal momentum, E(t) P_H = U (t sinc(z) a)
+        - M U (t^2 hv(z) a).
+        """
         tB, z = self._z(t)
         ts = tB[..., None]
-        dq = ts * _trig.sinc(z) * self.q
-        hq = ts * ts * _trig.hv(z) * self.q
-        delta = np.einsum("...ip,...p->...i", self.U, dq) - np.einsum(
-            "...ik,...kp,...p->...i", self.M, self.U, hq
-        )
-        cq = np.cos(z) * self.q
-        ph = np.einsum("...ip,...p->...i", self.U, cq) - np.einsum(
-            "...ik,...kp,...p->...i", self.M, self.U, dq
-        )
-        return self.x0[..., : self.group.h] + delta, ph, delta
+        return tB, z, ts * _trig.sinc(z), ts * ts * _trig.hv(z)
 
-    def increments(self, t, _delta=None):
-        """All vertical line integrals I^a(t), shape B + (v,)."""
-        tB, z = self._z(t)
+    def _spread(self, a, b):
+        """U a - M U b, back from eigenbasis coefficients a and b."""
+        return np.einsum("...ip,...p->...i", self.U, a) - np.einsum(
+            "...ik,...kp,...p->...i", self.M, self.U, b
+        )
+
+    def _flow(self, z, s, e):
+        """x_H(t) - x_H(0) and P_H(t) from the results of ``_factors``."""
+        sq = s * self.q
+        return self._spread(sq, e * self.q), self._spread(np.cos(z) * self.q, sq)
+
+    def _products(self, tB, z):
+        """[t^2 T1, t^3 T2, t^3 T3, t^4 T4] at z, stacked as _K is."""
         za = z[..., :, None]
         zb = z[..., None, :]
         ts = tB[..., None, None]
-        # [t^2 T1, t^3 T2, t^3 T3, t^4 T4], stacked as _K is, in one
-        # contraction; its four terms are summed in order, as four separate
-        # contractions would be
         h = z.shape[-1]
         T = np.empty(z.shape[:-1] + (4, h, h))
         np.multiply(ts**2, _trig.t1(za, zb), out=T[..., 0, :, :])
         np.multiply(ts**3, _trig.t2(za, zb), out=T[..., 1, :, :])
         np.multiply(ts**3, _trig.t3(za, zb), out=T[..., 2, :, :])
         np.multiply(ts**4, _trig.t4(za, zb), out=T[..., 3, :, :])
+        return T
+
+    def horizontal(self, t):
+        """x_H(t) and its time derivative P_H(t), shapes B + (h,)."""
+        _, z, s, e = self._factors(t)
+        delta, ph = self._flow(z, s, e)
+        return self.x0[..., : self.group.h] + delta, ph, delta
+
+    def _increments(self, T, delta):
+        """I^a(t) from the stack of ``_products`` and x_H(t) - x_H(0)."""
+        # the four terms of the stacked contraction are summed in order, as
+        # four separate contractions would be
         Jk = np.einsum("...vkab,...ab,...kab->...vk", self._K, self._W, T)
         J = Jk[..., 0] + Jk[..., 1] + Jk[..., 2] + Jk[..., 3]
-        delta = self.horizontal(t)[2] if _delta is None else _delta
         return np.einsum("...vj,...j->...v", self._CHx0, delta) + J
+
+    def increments(self, t, _delta=None):
+        """All vertical line integrals I^a(t), shape B + (v,)."""
+        tB, z = self._z(t)
+        delta = self.horizontal(t)[2] if _delta is None else _delta
+        return self._increments(self._products(tB, z), delta)
 
     def point(self, t, return_momentum=False):
         h = self.group.h
@@ -254,14 +280,43 @@ class ClosedFormPath:
         pv = np.broadcast_to(self.P0[..., h:], xv.shape)
         return x, np.concatenate([ph, pv], axis=-1)
 
+    def jet(self, t, dPH):
+        """x(t), its velocity and its derivatives along horizontal momenta.
+
+        ``dPH`` stacks j horizontal momenta, shape (j,) + S + (h,) with S
+        broadcasting against the batch and t. Returns x(t), bit for bit as
+        ``point`` gives it; the velocity frame_apply(x(t), (P_H(t), 0)); and
+        the derivatives of x(t) in P_H(0) along each dPH, shape (j,) + B +
+        (n,), exact by polarization (see the module docstring). All three
+        share one set of sinc/hv factors and one stack of product integrals.
+        """
+        h = self.group.h
+        tB, z, s, e = self._factors(t)
+        delta, ph = self._flow(z, s, e)
+        T = self._products(tB, z)
+        xv = self.x0[..., h:] - 0.5 * self._increments(T, delta)
+        x = np.concatenate([self.x0[..., :h] + delta, xv], axis=-1)
+        xdot = frame_apply(
+            self.group, x, np.concatenate([ph, np.zeros_like(xv)], axis=-1)
+        )
+
+        dq = self.with_horizontal(dPH).q
+        ddelta = self._spread(s * dq, e * dq)
+        G = np.einsum("...vkab,...kab->...vab", self._K, T)
+        Gq = np.einsum("...vab,...b->...va", G + np.swapaxes(G, -1, -2), self.q)
+        dI = np.einsum("...vj,...j->...v", self._CHx0, ddelta) + np.einsum(
+            "...va,...a->...v", Gq, dq
+        )
+        return x, xdot, np.concatenate([ddelta, -0.5 * dI], axis=-1)
+
     def with_horizontal(self, PH):
         """Rebind the horizontal momentum, keeping the vertical spectral data.
 
         Every eigendecomposition and kernel tensor depends only on (x0, P_V),
         so a batch of fresh horizontal momenta (leading axes broadcasting
-        against the existing batch) shares all of it. The shooting solver's
-        finite-difference Jacobian leans on this: direction perturbations
-        leave the vertical covector untouched.
+        against the existing batch) shares all of it. ``jet`` leans on this:
+        the derivatives along horizontal momenta need only their
+        coordinates q in the eigenbasis.
         """
         h, n = self.group.h, self.group.n
         PH = np.asarray(PH, dtype=float)

@@ -7,7 +7,16 @@ from carnot import _trig
 from carnot.errors import NotSkew, WrongStep
 from carnot.expmap import ClosedFormPath, exp_sr_2step, skew_canonical
 from carnot.geodesics import integrate_normal
-from carnot.groups import build_group, c_operator, engel, group_product, h1, hn, random_two_step
+from carnot.groups import (
+    build_group,
+    c_operator,
+    engel,
+    frame_apply,
+    group_product,
+    h1,
+    hn,
+    random_two_step,
+)
 from carnot.variations import _simpson
 
 
@@ -191,6 +200,56 @@ def test_batch_shapes_and_values():
         for i in range(3):
             single = exp_sr_2step(g, np.zeros(g.n), P0[i], ts)
             assert np.array_equal(batch[i], single)
+
+
+JET_GROUPS = [
+    random_two_step(4, 3, np.random.default_rng(20091030)),
+    # odd h: one frequency of every M is zero
+    random_two_step(5, 3, np.random.default_rng(41)),
+]
+
+
+def jet_case(g, rng, rows, scale):
+    x0 = g.point(rng.normal(size=(rows, g.n)))
+    P0 = rng.normal(size=(rows, g.n))
+    P0[:, g.h :] *= scale
+    return x0, P0, rng.uniform(-2.0, 2.0, rows), rng.normal(size=(3, rows, g.h))
+
+
+@pytest.mark.parametrize("g", JET_GROUPS, ids=["h4v3", "h5v3"])
+def test_jet_matches_central_differences(g):
+    rng = np.random.default_rng(42)
+    h, eps = g.h, 1e-5
+    for scale in [1e-6, 1e-3, 0.1, 1.0, 5.0]:
+        x0, P0, t, dPH = jet_case(g, rng, 6, scale)
+        path = ClosedFormPath(group=g, x0=x0, P0=P0)
+        x, xdot, dx = path.jet(t, dPH)
+        assert np.array_equal(x, path.point(t))
+        _, P = path.point(t, return_momentum=True)
+        velocity = frame_apply(g, x, np.concatenate([P[:, :h], np.zeros((6, g.v))], axis=1))
+        assert np.max(np.abs(xdot - velocity)) <= 1e-14 * max(1.0, np.abs(velocity).max())
+        fd = (path.point(t + eps) - path.point(t - eps)) / (2.0 * eps)
+        assert np.max(np.abs(xdot - fd)) <= 1e-7 * max(1.0, np.abs(xdot).max())
+        for j in range(3):
+            Pp, Pm = P0.copy(), P0.copy()
+            Pp[:, :h] += eps * dPH[j]
+            Pm[:, :h] -= eps * dPH[j]
+            fd = (
+                ClosedFormPath(group=g, x0=x0, P0=Pp).point(t)
+                - ClosedFormPath(group=g, x0=x0, P0=Pm).point(t)
+            ) / (2.0 * eps)
+            assert np.max(np.abs(dx[j] - fd)) <= 1e-7 * max(1.0, np.abs(dx[j]).max())
+
+
+def test_jet_rows_independent_of_batch():
+    g = JET_GROUPS[0]
+    x0, P0, t, dPH = jet_case(g, np.random.default_rng(43), 37, 1.0)
+    x, xdot, dx = ClosedFormPath(group=g, x0=x0, P0=P0).jet(t, dPH)
+    for i in range(37):
+        xi, xdoti, dxi = ClosedFormPath(group=g, x0=x0[i], P0=P0[i]).jet(t[i], dPH[:, i])
+        assert np.array_equal(x[i], xi)
+        assert np.array_equal(xdot[i], xdoti)
+        assert np.array_equal(dx[:, i], dxi)
 
 
 def test_wrong_step_rejected():

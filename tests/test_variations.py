@@ -1,10 +1,10 @@
 """Connection, curvature, variation formulas, and Jacobi-field tests.
 
 Second-variation and Jacobi oracles are finite differences of the closed-form
-exponential: rotating the initial horizontal momentum inside an invariant
-plane of C_H(P_V) at a full period gives a variation through unit-speed
-geodesics whose endpoint stays put, so the field vanishes at both ends
-without any tuning.
+exponential, or its exact differential ``ClosedFormPath.jet``: rotating the
+initial horizontal momentum inside an invariant plane of C_H(P_V) at a full
+period gives a variation through unit-speed geodesics whose endpoint stays
+put, so the field vanishes at both ends without any tuning.
 """
 
 import numpy as np
@@ -16,13 +16,14 @@ from carnot.errors import (
     NotUnitSpeed,
     TooFewSamples,
 )
-from carnot.expmap import exp_sr_2step, skew_canonical
+from carnot.expmap import ClosedFormPath, exp_sr_2step, skew_canonical
 from carnot.geodesics import GeodesicTrace, integrate_normal
 from carnot.groups import (
     build_group,
     c_operator,
     engel,
     frame_apply,
+    frame_solve,
     h1,
     hn,
     random_two_step,
@@ -510,6 +511,23 @@ def test_integrate_jacobi_reproduces_exp_variation():
         out = integrate_jacobi(g, tr, Yc[0], Z0)
         assert np.abs(out.components - Yc).max() < 1e-8
         assert out.meta["constraint_defect_sup"] < 1e-8
+
+
+def test_integrate_jacobi_is_the_exact_exp_differential():
+    # step 2: the Jacobi field with J(0) = 0 and J'(0) = (delta, 0), delta
+    # orthogonal to the unit P_H(0), is the differential of the exponential
+    # along delta, which the closed form gives exactly
+    g = random_two_step(4, 3, np.random.default_rng(44))
+    rng = np.random.default_rng(45)
+    P0 = unit_covector(g, rng)
+    delta = rng.standard_normal(g.h)
+    delta -= (delta @ P0[: g.h]) * P0[: g.h]
+    tr = integrate_normal(g, np.zeros(g.n), P0, 1.5, 600)
+    out = integrate_jacobi(g, tr, np.zeros(g.n), np.concatenate([delta, np.zeros(g.v)]))
+    x, _, dx = ClosedFormPath(group=g, x0=np.zeros(g.n), P0=P0[None]).jet(
+        tr.times, delta[None, None]
+    )
+    assert np.abs(out.components - frame_solve(g, x, dx[0])).max() < 1e-9
 
 
 def test_integrate_jacobi_abelian_linear():
