@@ -34,10 +34,11 @@ part, so ``ClosedFormPath.jet`` gives the derivative along each tangent
 direction by polarization, from the same spectral data, sinc/hv factors and
 product integrals as the point itself, and d/d(log T) is T times the arrival
 velocity. The v vertical-covector columns are forward differences, each
-on the spectral data of its perturbed covector, so an iteration builds
-1 + v + 1 spectral sets per track (current point, perturbations,
-candidate) and evaluates the closed form as many times, the jet counting
-once. A track that after PLATEAU_ITER iterations still misses its target by
+on the spectral data of its perturbed covector. The candidate of a step is
+evaluated by the jet, and an accepted candidate's jet is the next
+iteration's base, so an iteration builds v + 1 spectral sets per track
+(perturbations, candidate) and evaluates the closed form as many times.
+A track that after PLATEAU_ITER iterations still misses its target by
 more than PLATEAU_TOL relative to max(1, |z|) sits on a plateau away from
 every root and stops there; tracks creeping next to an ill-conditioned root
 are below about 1e-5 by then.
@@ -342,9 +343,15 @@ def _start_grid(group, targets, starts):
     return w0, eta0, T0
 
 
-def _endpoints(group, w, eta, T):
+def _jet_columns(group, w, eta, T):
+    """From one jet: the endpoints of (w, eta) at T, the tangent basis V at
+    w, and the exact Jacobian columns along V and in log T (T x')."""
+    V = _tangent_basis(w)
     P0 = np.concatenate([w, eta], axis=-1)
-    return ClosedFormPath(group=group, x0=np.zeros(group.n), P0=P0).point(T)
+    x, xdot, ddir = ClosedFormPath(group=group, x0=np.zeros(group.n), P0=P0).jet(
+        T, np.moveaxis(V, 2, 0)
+    )
+    return x, V, np.moveaxis(ddir, 0, 2), T[:, None] * xdot
 
 
 def _shoot(group, targets, starts, max_iter):
@@ -369,9 +376,8 @@ def _shoot(group, targets, starts, max_iter):
     track_tol = ROOT_TOL * scale
 
     lam = np.full(K, 1e-3)
-    pts = _endpoints(group, w, eta, T)
-    F = pts - y
-    fn = np.linalg.norm(F, axis=1)
+    x, V, Jdir, Jlog = _jet_columns(group, w, eta, T)
+    fn = np.linalg.norm(x - y, axis=1)
     conv = fn <= track_tol
     dead = np.zeros(K, dtype=bool)
     owner = np.repeat(np.arange(m), starts)
@@ -390,31 +396,24 @@ def _shoot(group, targets, starts, max_iter):
             break
         idx = np.nonzero(act)[0]
         wa, ea, Ta = w[idx], eta[idx], T[idx]
-        ya, fna, lama = y[idx], fn[idx], lam[idx]
+        ya, fna, lama, xa = y[idx], fn[idx], lam[idx], x[idx]
         ka = idx.size
 
-        # exact direction and log-time columns (the direction chart's
-        # derivative at 0 is the tangent basis V, d/dlog T is T times the
-        # velocity); forward differences in the vertical covector
-        V = _tangent_basis(wa)
-        Pa = np.concatenate([wa, ea], axis=-1)
-        base, xdot, ddir = ClosedFormPath(
-            group=group, x0=np.zeros(n), P0=Pa
-        ).jet(Ta, np.moveaxis(V, 2, 0))
-        Fb = base - ya
-
+        # exact direction and log-time columns from the jet that evaluated
+        # this point; forward differences in the vertical covector
         J = np.empty((ka, n, nu))
-        J[:, :, : h - 1] = np.moveaxis(ddir, 0, 2)
-        J[:, :, -1] = Ta[:, None] * xdot
+        J[:, :, : h - 1] = Jdir[idx]
+        J[:, :, -1] = Jlog[idx]
         se = 1e-6 * np.maximum(1.0, np.abs(ea))
-        P0e = np.broadcast_to(Pa, (v, ka, n)).copy()
+        P0e = np.broadcast_to(np.concatenate([wa, ea], axis=-1), (v, ka, n)).copy()
         for a in range(v):
             P0e[a, :, h + a] += se[:, a]
         ptsE = ClosedFormPath(group=group, x0=np.zeros(n), P0=P0e).point(Ta)
         J[:, :, h - 1 : h - 1 + v] = np.moveaxis(
-            (ptsE - base) / se.T[:, :, None], 0, 2
+            (ptsE - xa) / se.T[:, :, None], 0, 2
         )
 
+        Fb = xa - ya
         A = np.einsum("kri,krj->kij", J, J)
         g = np.einsum("kri,kr->ki", J, Fb)
         D = np.maximum(np.einsum("kii->ki", A), 1e-12)
@@ -423,20 +422,19 @@ def _shoot(group, targets, starts, max_iter):
         Areg[:, diag, diag] += (lama + 1e-13)[:, None] * D
         delta = -np.linalg.solve(Areg, g[..., None])[..., 0]
 
-        wc = wa + np.einsum("kij,kj->ki", V, delta[:, : h - 1])
+        wc = wa + np.einsum("kij,kj->ki", V[idx], delta[:, : h - 1])
         wc = wc / np.linalg.norm(wc, axis=-1, keepdims=True)
         ec = ea + delta[:, h - 1 : h - 1 + v]
         Tc = Ta * np.exp(np.clip(delta[:, -1], -1.5, 1.5))
-        ptsC = _endpoints(group, wc, ec, Tc)
-        Fc = ptsC - ya
-        fnc = np.linalg.norm(Fc, axis=1)
+        # the candidate's jet is the next iteration's base if it is accepted
+        xc, Vc, Jdc, Jlc = _jet_columns(group, wc, ec, Tc)
+        fnc = np.linalg.norm(xc - ya, axis=1)
         better = np.isfinite(fnc) & (fnc < fna)
 
-        w[idx[better]] = wc[better]
-        eta[idx[better]] = ec[better]
-        T[idx[better]] = Tc[better]
-        F[idx[better]] = Fc[better]
-        fn[idx[better]] = fnc[better]
+        b = idx[better]
+        w[b], eta[b], T[b], fn[b] = wc[better], ec[better], Tc[better], fnc[better]
+        x[b], V[b] = xc[better], Vc[better]
+        Jdir[b], Jlog[b] = Jdc[better], Jlc[better]
         lam[idx] = np.where(better, np.maximum(lama * 0.3, 1e-12), lama * 7.0)
         new = np.zeros(K, dtype=bool)
         new[idx] = fn[idx] <= track_tol[idx]

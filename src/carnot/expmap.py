@@ -251,7 +251,8 @@ class ClosedFormPath:
         return T
 
     def horizontal(self, t):
-        """x_H(t) and its time derivative P_H(t), shapes B + (h,)."""
+        """x_H(t), its time derivative P_H(t) and the displacement
+        x_H(t) - x_H(0), each of shape B + (h,)."""
         _, z, s, e = self._factors(t)
         delta, ph = self._flow(z, s, e)
         return self.x0[..., : self.group.h] + delta, ph, delta
@@ -300,7 +301,7 @@ class ClosedFormPath:
             self.group, x, np.concatenate([ph, np.zeros_like(xv)], axis=-1)
         )
 
-        dq = self.with_horizontal(dPH).q
+        dq = np.einsum("...ip,...i->...p", self.U, np.asarray(dPH, dtype=float))
         ddelta = self._spread(s * dq, e * dq)
         G = np.einsum("...vkab,...kab->...vab", self._K, T)
         Gq = np.einsum("...vab,...b->...va", G + np.swapaxes(G, -1, -2), self.q)
@@ -314,9 +315,7 @@ class ClosedFormPath:
 
         Every eigendecomposition and kernel tensor depends only on (x0, P_V),
         so a batch of fresh horizontal momenta (leading axes broadcasting
-        against the existing batch) shares all of it. ``jet`` leans on this:
-        the derivatives along horizontal momenta need only their
-        coordinates q in the eigenbasis.
+        against the existing batch) shares all of it.
         """
         h, n = self.group.h, self.group.n
         PH = np.asarray(PH, dtype=float)

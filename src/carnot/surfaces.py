@@ -40,7 +40,7 @@ from .errors import (
 )
 from .expmap import ClosedFormPath, require_step2
 from .geodesics import GeodesicTrace
-from .groups import CarnotGroup, left_frame
+from .groups import CarnotGroup, frame_apply, left_frame
 
 __all__ = [
     "HypersurfaceField",
@@ -232,18 +232,27 @@ def _householder_complement(w):
 
 
 def _project_batch(field, p):
-    """Newton projection of points p onto {f=0} along the gradient."""
-    y = np.array(p, dtype=float)
+    """Newton projection of points p onto {f=0} along the gradient.
+
+    Each row stops at its own tolerance, so its bits do not depend on the
+    other rows of the batch.
+    """
+    p = np.asarray(p, dtype=float)
+    y = p.reshape(-1, p.shape[-1]).copy()
     scale = 1.0 + np.linalg.norm(y, axis=-1)
+    act = np.arange(y.shape[0])
     for _ in range(NEWTON_ITER):
-        val = field.value(y)
-        if np.all(np.abs(val) <= PROJECT_TOL * scale):
-            return y
-        g = field.coordinate_gradient(y)
+        ya = y[act]
+        val = field.value(ya)
+        done = np.abs(val) <= PROJECT_TOL * scale[act]
+        if done.all():
+            return y.reshape(p.shape)
+        act, ya, val = act[~done], ya[~done], val[~done]
+        g = field.coordinate_gradient(ya)
         gn2 = np.einsum("...i,...i->...", g, g)
         if np.any(gn2 == 0.0):
             raise ZeroGradient("surface gradient vanishes during projection")
-        y = y - (val / gn2)[..., None] * g
+        y[act] = ya - (val / gn2)[..., None] * g
     raise NoConvergence(
         "surface projection stalled at |f| = %.3e" % float(np.max(np.abs(val)))
     )
@@ -254,10 +263,10 @@ class TubularChart:
     """Immutable two-sided tube chart around a non-characteristic patch.
 
     Surface parameters u live in the tangent basis E at the base point
-    (|u| <= radius); normal times t in (-eps0, eps0). Queries are not yet
-    pure functions of their point: ``surface_point`` projects a batch until
-    every point in it converges, so a point's last bits depend on the rest
-    of its batch (up to 1.1e-13 on h1 against one-at-a-time calls).
+    (|u| <= radius); normal times t in (-eps0, eps0). Queries are pure
+    functions of their point: ``surface_point`` projects each row to its own
+    tolerance, and ``project_to_surface`` inverts each row on its own, so a
+    row's bits do not depend on the rest of its batch.
     """
 
     group: CarnotGroup
@@ -274,26 +283,30 @@ class TubularChart:
 
 
 def _chart_forward(chart, U, T):
-    """Batched Phi(u, t): surface points, their covectors, endpoints."""
+    """Batched Phi(u, t) and its exact t-derivative, the geodesic velocity."""
     group = chart.group
     ys = chart.surface_point(U)
     g = frame_gradient(group, chart.field, ys)
-    nu, nuH, varpi, char, _ = _normal_split(group, g)
+    _, nuH, varpi, char, _ = _normal_split(group, g)
     if np.any(char):
         raise Characteristic(
             "patch touches the characteristic set; shrink the radius"
         )
     N = np.concatenate([nuH, varpi], axis=-1)
     path = ClosedFormPath(group=group, x0=ys, P0=N)
-    return ys, N, path.point(np.asarray(T, dtype=float))
+    x, P = path.point(np.asarray(T, dtype=float), return_momentum=True)
+    P[..., group.h :] = 0.0
+    return x, frame_apply(group, x, P)
 
 
 def _invert_batch(chart, xs, u0, t0):
     """Damped Newton on Phi(u, t) = x for a batch of targets.
 
-    Returns (u, t, residual, converged). The Jacobian is forward finite
-    differences in the chart parameters; steps scale with the parameter
-    magnitudes, the damping is plain backtracking on the residual norm.
+    Returns (u, t, residual, converged). The Jacobian's u-columns are
+    forward finite differences with steps scaled by the parameter
+    magnitudes; its t-column is the exact geodesic velocity. An accepted
+    candidate's endpoint and velocity are the next iteration's base, and
+    the damping is plain backtracking on the residual norm.
     """
     m, n = xs.shape
     d = n - 1
@@ -301,9 +314,8 @@ def _invert_batch(chart, xs, u0, t0):
     t = np.array(t0, dtype=float)
     scale = INVERT_TOL * (1.0 + np.linalg.norm(xs, axis=1))
 
-    _, _, pts = _chart_forward(chart, u, t)
-    F = pts - xs
-    fn = np.linalg.norm(F, axis=1)
+    pts, vel = _chart_forward(chart, u, t)
+    fn = np.linalg.norm(pts - xs, axis=1)
     conv = fn <= scale
     stalled = np.zeros(m, dtype=bool)
 
@@ -312,49 +324,37 @@ def _invert_batch(chart, xs, u0, t0):
         if not act.any():
             break
         idx = np.nonzero(act)[0]
-        ua, ta, fa = u[idx], t[idx], fn[idx]
+        ua, ta, fa, base = u[idx], t[idx], fn[idx], pts[idx]
         ka = idx.size
 
         hu = 1e-6 * (1.0 + np.abs(ua))
-        ht = 1e-6 * (1.0 + np.abs(ta))
-        Up = np.broadcast_to(ua, (d + 1, ka, d)).copy()
-        Tp = np.broadcast_to(ta, (d + 1, ka)).copy()
+        Up = np.broadcast_to(ua, (d, ka, d)).copy()
         for j in range(d):
             Up[j, :, j] += hu[:, j]
-        Tp[d] += ht
-        _, _, ptsP = _chart_forward(
-            chart, Up.reshape(-1, d), Tp.reshape(-1)
-        )
-        ptsP = ptsP.reshape(d + 1, ka, n)
-        _, _, base = _chart_forward(chart, ua, ta)
-        Fb = base - xs[idx]
-        steps = np.concatenate([hu, ht[:, None]], axis=1)
-        J = np.moveaxis(
-            (ptsP - base) / steps.T[:, :, None], 0, 2
-        )
+        ptsP, _ = _chart_forward(chart, Up.reshape(-1, d), np.tile(ta, d))
+        J = np.empty((ka, n, n))
+        dU = (ptsP.reshape(d, ka, n) - base) / hu.T[:, :, None]
+        J[:, :, :d] = np.moveaxis(dU, 0, 2)
+        J[:, :, d] = vel[idx]
 
-        delta = -np.linalg.solve(J, Fb[..., None])[..., 0]
+        delta = -np.linalg.solve(J, (base - xs[idx])[..., None])[..., 0]
         improved = np.zeros(ka, dtype=bool)
-        un, tn = ua.copy(), ta.copy()
-        fnew = fa.copy()
         step = np.ones(ka)
         sc = scale[idx]
         for _ in range(8):
-            rem = ~improved
-            if not rem.any():
+            rem = np.nonzero(~improved)[0]
+            if not rem.size:
                 break
             uc = ua[rem] + step[rem, None] * delta[rem, :d]
             tc = ta[rem] + step[rem] * delta[rem, d]
-            _, _, ptsC = _chart_forward(chart, uc, tc)
-            fc = np.linalg.norm(ptsC - xs[idx][rem], axis=1)
+            ptsC, velC = _chart_forward(chart, uc, tc)
+            fc = np.linalg.norm(ptsC - xs[idx[rem]], axis=1)
             ok = np.isfinite(fc) & ((fc < fa[rem]) | (fc <= sc[rem]))
-            sel = np.nonzero(rem)[0][ok]
-            un[sel], tn[sel], fnew[sel] = uc[ok], tc[ok], fc[ok]
-            improved[sel] = True
-            step[rem & ~improved] *= 0.5
-        u[idx[improved]] = un[improved]
-        t[idx[improved]] = tn[improved]
-        fn[idx[improved]] = fnew[improved]
+            k = idx[rem[ok]]
+            u[k], t[k], fn[k] = uc[ok], tc[ok], fc[ok]
+            pts[k], vel[k] = ptsC[ok], velC[ok]
+            improved[rem[ok]] = True
+            step[rem[~ok]] *= 0.5
         stalled[idx[~improved]] = True
         conv[idx] = fn[idx] <= scale[idx]
 
@@ -404,7 +404,7 @@ def build_chart(group, field, base, radius=0.5, eps0=0.5):
         )
         Ug = np.repeat(U, tgrid.size, axis=0)
         Tg = np.tile(tgrid * eps, U.shape[0])
-        _, _, xs = _chart_forward(chart, Ug, Tg)
+        xs, _ = _chart_forward(chart, Ug, Tg)
         u0, t0 = _default_start(chart, xs)
         u, t, _, conv = _invert_batch(chart, xs, u0, t0)
         ok = (

@@ -197,6 +197,26 @@ def test_unconverged_target_retried_on_inverse():
     assert np.max(np.abs(reached - y)) < 1e-9
 
 
+def test_shooting_builds_v_plus_one_covectors_per_iteration(monkeypatch):
+    # an active track builds its v perturbed covectors and its candidate per
+    # iteration; the candidate's jet is the next base, so nothing else
+    built = []
+
+    class Counted(distance.ClosedFormPath):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(int(np.prod(self.batch)))
+
+    monkeypatch.setattr(distance, "ClosedFormPath", Counted)
+    g = random_two_step(3, 2, np.random.default_rng(10))
+    starts, k = 2, 3
+    *_, conv = distance._shoot(
+        g, np.array([[0.0, 0.0, 0.0, 3.0, -1.0]]), starts, k
+    )
+    assert not conv.any()  # every track stays active for all k iterations
+    assert sum(built) == starts * (1 + k * (g.v + 1))
+
+
 def test_pick_is_lexicographic_first_of_equals():
     # the fold rule: among tied roots the lexicographically smallest
     # covector, the first of equal ones winning; untied roots never win

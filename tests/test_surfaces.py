@@ -18,6 +18,7 @@ from carnot.errors import (
 )
 from carnot.groups import group_product, h1, hn
 from carnot.surfaces import (
+    _chart_forward,
     build_chart,
     delta_H,
     frame_gradient,
@@ -200,6 +201,42 @@ def test_delta_lower_bounds_surface_grid():
     assert batch.T.min() >= d - 1e-8
     # the foot sits on the grid, so the minimum lands on delta itself
     assert batch.T.min() - d < 1e-6
+
+
+def test_chart_queries_independent_of_batch():
+    # each row is projected and inverted on its own, so a batch gives the
+    # bits of one-point calls
+    chart = build_chart(h1(), paraboloid(), np.zeros(3), radius=0.5, eps0=0.4)
+    rng = np.random.default_rng(3)
+    U = rng.uniform(-0.4, 0.4, (40, 2))
+    ys = chart.surface_point(U)
+    for i in range(U.shape[0]):
+        assert np.array_equal(ys[i], chart.surface_point(U[i : i + 1])[0])
+    xs = rng.uniform(-0.2, 0.2, (20, 3))
+    res = project_to_surface(chart, xs)
+    for i in range(xs.shape[0]):
+        one = project_to_surface(chart, xs[i])
+        assert np.array_equal(res.y[i], one.y) and res.t[i] == one.t
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chart_forward_t_column_is_the_velocity(n):
+    # the exact t-column of the inversion's Jacobian against a central
+    # difference of Phi in t
+    g = hn(n)
+    exps = tuple(int(i == 0) for i in range(g.n))
+    quad = tuple(int(i == 1) * 2 for i in range(g.n))
+    field = polynomial_field(g.n, [(1.0, exps), (-1.0, quad)])
+    chart = build_chart(g, field, np.zeros(g.n), radius=0.3, eps0=0.2)
+    rng = np.random.default_rng(11)
+    U = rng.uniform(-0.25, 0.25, (6, g.n - 1))
+    T = rng.uniform(-0.15, 0.15, 6)
+    step = 1e-5
+    _, vel = _chart_forward(chart, U, T)
+    ahead, _ = _chart_forward(chart, U, T + step)
+    behind, _ = _chart_forward(chart, U, T - step)
+    fd = (ahead - behind) / (2.0 * step)
+    assert np.max(np.abs(vel - fd)) < 1e-8
 
 
 def phi_det_at_base(chart):
