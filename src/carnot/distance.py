@@ -33,11 +33,12 @@ horizontal momentum in its horizontal part and quadratic in its vertical
 part, so ``ClosedFormPath.jet`` gives the derivative along each tangent
 direction by polarization, from the same spectral data, sinc/hv factors and
 product integrals as the point itself, and d/d(log T) is T times the arrival
-velocity. The v vertical-covector columns are forward differences, each
-on the spectral data of its perturbed covector. The candidate of a step is
-evaluated by the jet, and an accepted candidate's jet is the next
-iteration's base, so an iteration builds v + 1 spectral sets per track
-(perturbations, candidate) and evaluates the closed form as many times.
+velocity. The v vertical-covector columns are forward differences (central
+in the careful pass below), each on the spectral data of its perturbed
+covector. The candidate of a step is evaluated by the jet, and an accepted
+candidate's jet is the next iteration's base, so an iteration builds v + 1
+spectral sets per track (perturbations, candidate) and evaluates the closed
+form as many times.
 A track that after PLATEAU_ITER iterations still misses its target by
 more than PLATEAU_TOL relative to max(1, |z|) sits on a plateau away from
 every root and stops there; tracks creeping next to an ill-conditioned root
@@ -57,15 +58,20 @@ turn. For a normal geodesic that is also abnormal this half is not proved;
 a scan of 360 random covectors on six random groups found no conjugate time
 before the turn.
 
-The shooting solver uses this to stop early. A converged root with
-sigma_max(C_H(eta)) T < 2 pi (strictly, so it is never one the conjugate
-scan below looks at) is certified: T is the distance, and no other start
-can do better than find the same minimizer again. So a target's remaining
-tracks stop as soon as one of its tracks converges to a certified root.
-The stop is per target, so a row's bits do not depend on the other rows of
-its batch. Targets with no certified root run every track to the end and
-take the path below; ``ShootingBatch.certified`` reports which targets'
-returned roots are certified.
+The shooting solver uses this to stop early and to open a target's starts
+in stages. A converged root with sigma_max(C_H(eta)) T < 2 pi (strictly, so
+it is never one the conjugate scan below looks at) is certified: T is the
+distance, and no other start can do better than find the same minimizer
+again. A certified root is thus final, whichever start finds it, so a
+target's first start runs alone, and its other starts open together only
+once every open track of the target has ended (converged, stalled, or run
+max_iter iterations) without a certified root. As soon as one track
+converges to a certified root, the target's other tracks stop. Each track
+counts its own iterations against max_iter and PLATEAU_ITER, so its
+iterates do not depend on when it opened, nor on the other rows of its
+batch: a target with no certified root runs every track to the end, as if
+all had opened together, and takes the path below. ``ShootingBatch.certified``
+reports which targets' returned roots are certified.
 
 Multiple roots are real (they appear past conjugate points, and targets on
 the vertical axis carry whole families of minimizers), hence the multi-start
@@ -85,6 +91,18 @@ runs agree to the bit. Any converged root only ever overestimates the
 distance, which is what makes the cheap certified lower bound (|y_H| <= L
 and |y_a| <= |C^a| L^2 / 4 from the signed-area form of the vertical
 displacement) useful for pruning brute-force sweeps.
+
+A target left with no root by z and -z is shot once more, on the same
+lattice and with the same staging, with a careful step: the damped step from
+the SVD of the column-scaled Jacobian with the damping floor at 1e-20
+instead of 1e-12, central differences in the vertical covector, and on
+tracks within PLATEAU_TOL the geodesic acceleration of Transtrum and Sethna
+(arXiv:1207.4999). The plain step's normal equations square the Jacobian's
+condition number, and its damping floor outweighs the curvature along a
+nearly null direction, so tracks stall above ROOT_TOL next to a nearly
+abnormal root (a Jacobian singular value of 5e-8) or in a curved valley.
+The careful step builds about twice the spectral sets per iteration; the
+second pass replaces a result only where it finds a root.
 """
 
 from dataclasses import dataclass, field
@@ -121,6 +139,13 @@ MAX_ITER = 200
 # max(1, |z|)
 PLATEAU_ITER = 60
 PLATEAU_TOL = 1e-4
+# the careful second pass of the module docstring: step of its central
+# differences relative to max(1, |eta|); probe of the geodesic acceleration
+# and the largest |a| / |delta| it is taken at, over 2 (it is tried on
+# tracks below PLATEAU_TOL)
+CENTRAL_STEP = 6e-6
+ACCEL_PROBE = 0.1
+ACCEL_RATIO = 0.75
 SPHERE_REL_TOL = 1e-5
 TIE_REL = 1e-9
 DISTINCT_ROOT_TOL = 1e-5
@@ -354,15 +379,81 @@ def _jet_columns(group, w, eta, T):
     return x, V, np.moveaxis(ddir, 0, 2), T[:, None] * xdot
 
 
-def _shoot(group, targets, starts, max_iter):
+def _eta_columns(group, w, eta, T, x, central):
+    """Jacobian columns in the vertical covector, (k, n, v): differences of
+    the endpoints x of (w, eta) at T, forward with step 1e-6 max(1, |eta|)
+    or central with step CENTRAL_STEP max(1, |eta|)."""
+    h, v, n = group.h, group.v, group.n
+    signs = np.array([1.0, -1.0] if central else [1.0])
+    se = (CENTRAL_STEP if central else 1e-6) * np.maximum(1.0, np.abs(eta))
+    P0 = np.concatenate([w, eta], axis=-1)
+    P0e = np.broadcast_to(P0, (signs.size, v) + P0.shape).copy()
+    for a in range(v):
+        P0e[:, a, :, h + a] += signs[:, None] * se[:, a]
+    pts = ClosedFormPath(group=group, x0=np.zeros(n), P0=P0e).point(T)
+    diff = pts[0] - (pts[1] if central else x)
+    return np.moveaxis(diff / (signs.size * se.T[:, :, None]), 0, 2)
+
+
+def _advance(V, w, eta, T, delta):
+    """The point delta away from (w, eta, T) in the local coordinates of
+    ``_shoot``: angles along the tangent basis V, covector, log-time."""
+    h = w.shape[1]
+    wc = w + np.einsum("kij,kj->ki", V, delta[:, : h - 1])
+    wc = wc / np.linalg.norm(wc, axis=-1, keepdims=True)
+    Tc = T * np.exp(np.clip(delta[:, -1], -1.5, 1.5))
+    return wc, eta + delta[:, h - 1 : -1], Tc
+
+
+def _careful_step(group, J, x, y, lam, V, w, eta, T, accel):
+    """The damped step from the SVD of the column-scaled Jacobian, plus half
+    the geodesic acceleration on the rows ``accel``.
+
+    The SVD keeps the condition number of J, which the normal equations
+    square. The acceleration a solves the same damped system for the second
+    directional derivative of the residual along the step, a difference
+    quotient with probe ACCEL_PROBE (Transtrum and Sethna, arXiv:1207.4999);
+    it is taken only where 2 |a| <= ACCEL_RATIO |delta| in the scaled norm.
+    """
+    d = np.sqrt(np.maximum(np.einsum("kri,kri->ki", J, J), 1e-12))
+    U, s, Wt = np.linalg.svd(J / d[:, None, :])
+    filt = s / (s * s + lam[:, None])
+
+    def solve(res, rows=slice(None)):
+        c = filt[rows] * np.einsum("kri,kr->ki", U[rows], res)
+        return -np.einsum("kji,kj->ki", Wt[rows], c) / d[rows]
+
+    delta = solve(x - y)
+    r = np.nonzero(accel)[0]
+    if r.size:
+        wp, ep, Tp = _advance(V[r], w[r], eta[r], T[r], ACCEL_PROBE * delta[r])
+        P0p = np.concatenate([wp, ep], axis=-1)
+        xp = ClosedFormPath(group=group, x0=np.zeros(group.n), P0=P0p).point(Tp)
+        curv = (2.0 / ACCEL_PROBE) * (
+            (xp - x[r]) / ACCEL_PROBE - np.einsum("kri,ki->kr", J[r], delta[r])
+        )
+        acc = solve(curv, r)
+        size = np.linalg.norm(np.stack([acc, delta[r]]) * d[r], axis=-1)
+        take = 2.0 * size[0] <= ACCEL_RATIO * size[1]
+        delta[r[take]] += 0.5 * acc[take]
+    return delta
+
+
+def _shoot(group, targets, starts, max_iter, careful=False):
     """Damped Gauss-Newton over all (target, start) tracks simultaneously.
 
-    A target's tracks stop once one of them converges to a certified root
-    (sigma_max(C_H(eta)) T < 2 pi, the unique minimizer); the others of that
-    target are left where they are, unconverged, as are tracks still on a
-    plateau after PLATEAU_ITER iterations. Returns per-track arrays of
-    shape (m, starts): directions, covectors, times, residual norms and
-    convergence flags.
+    A target's tracks open in lattice order: its first start runs alone,
+    and the others open together only once every open track of that target
+    has ended (converged, stalled or after max_iter iterations of its own)
+    without a certified root (sigma_max(C_H(eta)) T < 2 pi, the unique
+    minimizer). Once a track converges to a certified root the other open
+    tracks of its target stop where they are, unconverged, as do tracks
+    still on a plateau after PLATEAU_ITER iterations of their own.
+    ``careful`` takes the second pass's step (``_careful_step``, central
+    differences in eta, the damping floor at 1e-20) in place of the normal
+    equations. Returns
+    per-track arrays of shape (m, starts): directions, covectors, times,
+    residual norms (inf where a track never opened) and convergence flags.
     """
     h, v, n = group.h, group.v, group.n
     m = targets.shape[0]
@@ -376,22 +467,40 @@ def _shoot(group, targets, starts, max_iter):
     track_tol = ROOT_TOL * scale
 
     lam = np.full(K, 1e-3)
-    x, V, Jdir, Jlog = _jet_columns(group, w, eta, T)
-    fn = np.linalg.norm(x - y, axis=1)
-    conv = fn <= track_tol
+    x = np.empty((K, n))
+    V = np.empty((K, h, h - 1))
+    Jdir = np.empty((K, n, h - 1))
+    Jlog = np.empty((K, n))
+    fn = np.full(K, np.inf)
+    conv = np.zeros(K, dtype=bool)
     dead = np.zeros(K, dtype=bool)
+    opened = np.zeros(K, dtype=bool)
+    its = np.zeros(K, dtype=int)
     owner = np.repeat(np.arange(m), starts)
     solved = np.zeros(m, dtype=bool)
-    new = conv.copy()
+    new = np.zeros(K, dtype=bool)
+    wake = np.arange(K) % starts == 0
     nu = n  # unknowns: (h-1) angles + v covector components + log-time
+    lam_floor = 1e-20 if careful else 1e-12
 
-    for it in range(max_iter):
+    while True:
+        if wake.any():
+            o = np.nonzero(wake)[0]
+            x[o], V[o], Jdir[o], Jlog[o] = _jet_columns(group, w[o], eta[o], T[o])
+            fn[o] = np.linalg.norm(x[o] - y[o], axis=1)
+            opened[o] = True
+            new = wake & (fn <= track_tol)
+            conv |= new
         k = np.nonzero(new)[0]
         certified = _top_frequency(group, eta[k]) * T[k] < 2.0 * np.pi
         solved[owner[k[certified]]] = True
-        if it >= PLATEAU_ITER:
-            dead |= ~conv & (fn > PLATEAU_TOL * scale)
-        act = ~conv & ~dead & ~solved[owner]
+        dead |= ~conv & (its >= PLATEAU_ITER) & (fn > PLATEAU_TOL * scale)
+        act = opened & ~conv & ~dead & ~solved[owner] & (its < max_iter)
+        # a target whose open tracks have all ended opens its other starts
+        ended = ~solved & ~act.reshape(m, starts).any(axis=1)
+        wake = ~opened & ended[owner]
+        if wake.any():
+            continue
         if not act.any():
             break
         idx = np.nonzero(act)[0]
@@ -400,32 +509,25 @@ def _shoot(group, targets, starts, max_iter):
         ka = idx.size
 
         # exact direction and log-time columns from the jet that evaluated
-        # this point; forward differences in the vertical covector
+        # this point; differences in the vertical covector
         J = np.empty((ka, n, nu))
         J[:, :, : h - 1] = Jdir[idx]
         J[:, :, -1] = Jlog[idx]
-        se = 1e-6 * np.maximum(1.0, np.abs(ea))
-        P0e = np.broadcast_to(np.concatenate([wa, ea], axis=-1), (v, ka, n)).copy()
-        for a in range(v):
-            P0e[a, :, h + a] += se[:, a]
-        ptsE = ClosedFormPath(group=group, x0=np.zeros(n), P0=P0e).point(Ta)
-        J[:, :, h - 1 : h - 1 + v] = np.moveaxis(
-            (ptsE - xa) / se.T[:, :, None], 0, 2
-        )
+        J[:, :, h - 1 : -1] = _eta_columns(group, wa, ea, Ta, xa, careful)
 
-        Fb = xa - ya
-        A = np.einsum("kri,krj->kij", J, J)
-        g = np.einsum("kri,kr->ki", J, Fb)
-        D = np.maximum(np.einsum("kii->ki", A), 1e-12)
-        Areg = A.copy()
-        diag = np.arange(nu)
-        Areg[:, diag, diag] += (lama + 1e-13)[:, None] * D
-        delta = -np.linalg.solve(Areg, g[..., None])[..., 0]
+        if careful:
+            near = fna <= PLATEAU_TOL * scale[idx]
+            delta = _careful_step(group, J, xa, ya, lama, V[idx], wa, ea, Ta, near)
+        else:
+            A = np.einsum("kri,krj->kij", J, J)
+            g = np.einsum("kri,kr->ki", J, xa - ya)
+            D = np.maximum(np.einsum("kii->ki", A), 1e-12)
+            Areg = A.copy()
+            diag = np.arange(nu)
+            Areg[:, diag, diag] += (lama + 1e-13)[:, None] * D
+            delta = -np.linalg.solve(Areg, g[..., None])[..., 0]
 
-        wc = wa + np.einsum("kij,kj->ki", V[idx], delta[:, : h - 1])
-        wc = wc / np.linalg.norm(wc, axis=-1, keepdims=True)
-        ec = ea + delta[:, h - 1 : h - 1 + v]
-        Tc = Ta * np.exp(np.clip(delta[:, -1], -1.5, 1.5))
+        wc, ec, Tc = _advance(V[idx], wa, ea, Ta, delta)
         # the candidate's jet is the next iteration's base if it is accepted
         xc, Vc, Jdc, Jlc = _jet_columns(group, wc, ec, Tc)
         fnc = np.linalg.norm(xc - ya, axis=1)
@@ -435,7 +537,8 @@ def _shoot(group, targets, starts, max_iter):
         w[b], eta[b], T[b], fn[b] = wc[better], ec[better], Tc[better], fnc[better]
         x[b], V[b] = xc[better], Vc[better]
         Jdir[b], Jlog[b] = Jdc[better], Jlc[better]
-        lam[idx] = np.where(better, np.maximum(lama * 0.3, 1e-12), lama * 7.0)
+        lam[idx] = np.where(better, np.maximum(lama * 0.3, lam_floor), lama * 7.0)
+        its[idx] += 1
         new = np.zeros(K, dtype=bool)
         new[idx] = fn[idx] <= track_tol[idx]
         conv |= new
@@ -626,14 +729,14 @@ def _drop_past_conjugate(group, P0s, Ts, keep, turned):
             keep[i, same] = False
 
 
-def _minimizing_roots(group, targets, starts, max_iter):
+def _minimizing_roots(group, targets, starts, max_iter, careful):
     """Shoot at targets: (P0s, Ts, residuals, converged, kept, turned).
 
     ``turned`` marks converged roots with sigma_max(C_H(eta)) T >= 2 pi
     (by more than the conjugate margin), the only ones scanned for conjugate
     points.
     """
-    ws, etas, Ts, fns, convs = _shoot(group, targets, starts, max_iter)
+    ws, etas, Ts, fns, convs = _shoot(group, targets, starts, max_iter, careful)
     P0s = np.concatenate([ws, etas], axis=-1)
     sig = _top_frequency(group, etas)
     turned = convs & (sig * Ts * (1.0 - CONJ_MARGIN) >= 2.0 * np.pi)
@@ -641,23 +744,25 @@ def _minimizing_roots(group, targets, starts, max_iter):
     return P0s, Ts, fns, convs, keep, turned
 
 
-def _shooting(group, targets, starts, max_iter):
+def _shooting(group, targets, starts, max_iter, careful=False):
     """Minimizing shooting roots of z, and of -z where those of z are doubtful.
 
     -z is solved again when none of the smallest kept roots of z stays below
     a full turn (no root converged, every root dropped, or the minimum
     reached only after a full period); its roots, reversed, join those of
-    z, and ``_pick`` folds them. Returns (T, P0, residual, multiplicity,
-    found) over the targets.
+    z, and ``_pick`` folds them. Targets with no root left are solved again
+    with ``careful`` steps (the module docstring's second pass), whose
+    results replace theirs only where that finds a root. Returns (T, P0,
+    residual, multiplicity, found) over the targets.
     """
     n = group.n
     P0s, Ts, fns, convs, keep, turned = _minimizing_roots(
-        group, targets, starts, max_iter
+        group, targets, starts, max_iter, careful
     )
     retry = ~(_smallest(Ts, keep) & ~turned).any(axis=1)
     if retry.any():
         rP0, rT, rfn, _, rkeep, _ = _minimizing_roots(
-            group, -targets[retry], starts, max_iter
+            group, -targets[retry], starts, max_iter, careful
         )
         # a root of -z is the reversed geodesic of -(arrival covector) to z
         _, arrival = exp_sr_2step(
@@ -679,7 +784,15 @@ def _shooting(group, targets, starts, max_iter):
     spread = np.where(ties, np.abs(P0s - bestP[:, None]).max(axis=2), 0.0)
     mult = spread.max(axis=1) > DISTINCT_ROOT_TOL
     residual = np.where(found, fns[rows, best], fns.min(axis=1))
-    return Ts[rows, best], bestP, residual, mult, found
+    out = Ts[rows, best], bestP, residual, mult, found
+    if careful or found.all():
+        return out
+    lost = np.nonzero(~found)[0]
+    again = _shooting(group, targets[lost], starts, max_iter, careful=True)
+    won = again[-1]
+    for a, b in zip(out, again):
+        a[lost[won]] = b[won]
+    return out
 
 
 def _reduce(group, x0, targets):
@@ -700,21 +813,24 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
     groups each target is solved exactly (``starts`` and ``max_iter`` are
     not used) and counts as converged when the returned covector reaches it
     within ROOT_TOL relative to max(1, |z|). On corank >= 2 the multi-start
-    shooting solver runs on the whole batch, each target until one of its
-    tracks converges to a certified root (turning less than a full period of
-    its fastest rotation); converged roots with a conjugate time before
-    their arrival are dropped, a target with no converged root left, or
-    whose smallest one has turned a full period of its fastest rotation, is
-    solved again as its inverse -z with the roots mapped back, and the
+    shooting solver runs on the whole batch, each target from its first
+    start alone, the others opening where that finds no certified root
+    (turning less than a full period of its fastest rotation), and until
+    one of its tracks converges to a certified root; ``max_iter`` counts
+    each track's own iterations. Converged roots with a conjugate time
+    before their arrival are dropped, a target with no converged root left,
+    or whose smallest one has turned a full period of its fastest rotation,
+    is solved again as its inverse -z with the roots mapped back, and the
     remaining roots are folded by the one rule of ``_pick``: minimal T
     first, then the lexicographically smallest initial covector, the first
-    of equal ones winning. Targets whose minimizing
-    roots disagree in covector while tying in time are flagged with
-    ``multiplicity``, as are corank-1 targets reached by a family of
+    of equal ones winning; a target still left with no root is shot once
+    more with the careful step of the module docstring. Targets whose
+    minimizing roots disagree in covector while tying in time are flagged
+    with ``multiplicity``, as are corank-1 targets reached by a family of
     minimizers and vertical-axis targets (horizontal offset below 1e-9).
     Targets left with no root carry their best residual and
-    ``converged=False``: no start converged on z or on -z, or (corank >= 2)
-    every converged root of both ran past a conjugate point. For them
+    ``converged=False``: no start converged on z or on -z, in either pass,
+    or (corank >= 2) every converged root ran past a conjugate point. For them
     ``solution(i)`` raises NoConvergence. ``certified`` marks, on every
     corank, the converged targets whose returned covector turns less than a
     full period over T. A NaN or infinite coordinate in x0 or the targets

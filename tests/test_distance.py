@@ -160,7 +160,11 @@ def test_rows_independent_of_certified_neighbours():
 def test_short_targets_next_to_ill_conditioned_roots():
     # short, nearly horizontal targets on the benchmark's corank-3 group
     # whose roots have Jacobian singular values down to 1e-6: damped
-    # Gauss-Newton creeps there, and converges within MAX_ITER iterations
+    # Gauss-Newton creeps there, and converges within MAX_ITER iterations.
+    # The last two (shoot-corank3 seed 1 round 46 op 2 target 8, seed 6
+    # round 46 op 0 target 3) stall in the plain pass, one next to an
+    # abnormal direction (Jacobian singular value 4.8e-8 at the root), one
+    # in a curved valley; the careful second pass converges both
     g = random_two_step(4, 3, np.random.default_rng(20091030))
     targets = np.array([
         [-0.273298123131227, -0.017708248213698402, 0.0016673518898630917,
@@ -172,8 +176,17 @@ def test_short_targets_next_to_ill_conditioned_roots():
         [-0.28037880186397307, 0.45025638739050594, -0.2519629797683692,
          0.5406442350737763, 0.0008584410030011658, -0.0006451466780140892,
          0.002592017270301446],
+        [-0.5174077256925753, 0.7659824696782688, -0.68478345630685,
+         -1.0086485259527094, 0.016641746213177565, 0.013100429487943153,
+         -0.003729776958078533],
+        [-0.0031800213465876556, 0.344320921233771, -0.6386664707361904,
+         0.19881199807380917, -0.0007669626011653954, -0.003082757164947672,
+         -0.005136078931526779],
     ])
-    planted = np.array([0.32441504893233897, 0.6561481298641704, 0.798368262419097])
+    planted = np.array([
+        0.32441504893233897, 0.6561481298641704, 0.798368262419097,
+        1.5305966526719332, 0.7546314939795361,
+    ])
     batch = distance_batch(g, np.zeros(g.n), targets)
     assert batch.converged.all()
     reached = exp_sr_2step(g, np.zeros(g.n), batch.P0, batch.T)
@@ -215,6 +228,30 @@ def test_shooting_builds_v_plus_one_covectors_per_iteration(monkeypatch):
     )
     assert not conv.any()  # every track stays active for all k iterations
     assert sum(built) == starts * (1 + k * (g.v + 1))
+
+
+def test_target_certified_by_its_first_start_opens_no_other(monkeypatch):
+    # a corank-3 target whose first start converges to a certified root
+    # builds only that start's covectors: its first jet, then v perturbed
+    # covectors and one candidate per iteration
+    built = []
+
+    class Counted(distance.ClosedFormPath):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(int(np.prod(self.batch)))
+
+    monkeypatch.setattr(distance, "ClosedFormPath", Counted)
+    g = random_two_step(4, 3, np.random.default_rng(20091030))
+    P0 = np.array([0.5, -0.5, 0.5, 0.5, 0.4, -0.3, 0.2])
+    y = exp_sr_2step(g, np.zeros(g.n), P0, 0.9)
+    built.clear()
+    _, eta, T, _, conv = distance._shoot(g, y[None], 16, distance.MAX_ITER)
+    assert conv[0, 0] and not conv[0, 1:].any()
+    assert distance._top_frequency(g, eta[0, 0]) * T[0, 0] < 2.0 * np.pi
+    k = built.count(g.v)
+    assert k > 0
+    assert built == [1] + [g.v, 1] * k
 
 
 def test_pick_is_lexicographic_first_of_equals():
