@@ -36,20 +36,16 @@ _SERIES_RADIUS = 6.0
 _NTERMS = 21
 _MAXK = 8
 
-# series tables: mc_k(z) = sum_j C[k][j] z^(2j), ms_k(z) = sum_j S[k][j] z^(2j+1)
+# series table, mc rows then ms rows: mc_k(z) = sum_j C[0, k, j] z^(2j),
+# ms_k(z) = sum_j C[1, k, j] z^(2j+1)
 _FACT = [1.0]
 for _i in range(1, 2 * _NTERMS + 3):
     _FACT.append(_FACT[-1] * _i)
-_MC_COEF = np.array(
+_COEF = np.array(
     [
-        [(-1.0) ** j / (_FACT[2 * j] * (2 * j + k + 1)) for j in range(_NTERMS)]
-        for k in range(_MAXK + 1)
-    ]
-)
-_MS_COEF = np.array(
-    [
-        [(-1.0) ** j / (_FACT[2 * j + 1] * (2 * j + k + 2)) for j in range(_NTERMS)]
-        for k in range(_MAXK + 1)
+        [[(-1.0) ** j / (_FACT[2 * j + s] * (2 * j + k + 1 + s)) for j in range(_NTERMS)]
+         for k in range(_MAXK + 1)]
+        for s in (0, 1)
     ]
 )
 
@@ -86,16 +82,14 @@ def _moments(z, kmax):
     if ser.any():
         zs = zf[ser]
         w = zs * zs
-        # Horner in z^2, all k rows in one sweep
-        acc_c = np.repeat(_MC_COEF[: kmax + 1, _NTERMS - 1 :], zs.size, axis=1)
-        acc_s = np.repeat(_MS_COEF[: kmax + 1, _NTERMS - 1 :], zs.size, axis=1)
+        # Horner in z^2, the mc and ms rows of every k in one sweep
+        coef = _COEF[:, : kmax + 1]
+        acc = np.repeat(coef[:, :, _NTERMS - 1 :], zs.size, axis=2)
         for j in range(_NTERMS - 2, -1, -1):
-            acc_c *= w
-            acc_c += _MC_COEF[: kmax + 1, j, None]
-            acc_s *= w
-            acc_s += _MS_COEF[: kmax + 1, j, None]
-        mc[:, ser] = acc_c
-        ms[:, ser] = acc_s * zs
+            acc *= w
+            acc += coef[:, :, j, None]
+        mc[:, ser] = acc[0]
+        ms[:, ser] = acc[1] * zs
     big = ~ser
     if big.any():
         zl = zf[big]

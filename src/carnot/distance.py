@@ -34,11 +34,12 @@ part, so ``ClosedFormPath.jet`` gives the derivative along each tangent
 direction by polarization, from the same spectral data, sinc/hv factors and
 product integrals as the point itself, and d/d(log T) is T times the arrival
 velocity. The v vertical-covector columns are forward differences (central
-in the careful pass below), each on the spectral data of its perturbed
-covector. The candidate of a step is evaluated by the jet, and an accepted
-candidate's jet is the next iteration's base, so an iteration builds v + 1
-spectral sets per track (perturbations, candidate) and evaluates the closed
-form as many times.
+in the careful pass below) of covectors perturbed in eta. Each evaluation,
+a start's first and every step's candidate, is one build of 1 + v
+covectors (1 + 2v in the careful pass), the point and its perturbed copies,
+and one jet of it gives the endpoint and every column. An accepted
+candidate's columns are the next iteration's base, and a rejected one
+leaves the base's, so an iteration of a track is one build.
 A track that after PLATEAU_ITER iterations still misses its target by
 more than PLATEAU_TOL relative to max(1, |z|) sits on a plateau away from
 every root and stops there; tracks creeping next to an ill-conditioned root
@@ -101,8 +102,9 @@ tracks within PLATEAU_TOL the geodesic acceleration of Transtrum and Sethna
 condition number, and its damping floor outweighs the curvature along a
 nearly null direction, so tracks stall above ROOT_TOL next to a nearly
 abnormal root (a Jacobian singular value of 5e-8) or in a curved valley.
-The careful step builds about twice the spectral sets per iteration; the
-second pass replaces a result only where it finds a root.
+The careful step builds 1 + 2v covectors per evaluation, where the plain
+one builds 1 + v; the second pass replaces a result only where it finds a
+root.
 """
 
 from dataclasses import dataclass, field
@@ -368,31 +370,30 @@ def _start_grid(group, targets, starts):
     return w0, eta0, T0
 
 
-def _jet_columns(group, w, eta, T):
-    """From one jet: the endpoints of (w, eta) at T, the tangent basis V at
-    w, and the exact Jacobian columns along V and in log T (T x')."""
-    V = _tangent_basis(w)
-    P0 = np.concatenate([w, eta], axis=-1)
-    x, xdot, ddir = ClosedFormPath(group=group, x0=np.zeros(group.n), P0=P0).jet(
-        T, np.moveaxis(V, 2, 0)
-    )
-    return x, V, np.moveaxis(ddir, 0, 2), T[:, None] * xdot
+def _jet_columns(group, w, eta, T, central):
+    """The endpoints of (w, eta) at T, the tangent basis V at w and the
+    Jacobian in ``_shoot``'s unknowns, from one jet of one build.
 
-
-def _eta_columns(group, w, eta, T, x, central):
-    """Jacobian columns in the vertical covector, (k, n, v): differences of
-    the endpoints x of (w, eta) at T, forward with step 1e-6 max(1, |eta|)
-    or central with step CENTRAL_STEP max(1, |eta|)."""
+    The build stacks (w, eta) over its copies perturbed in eta, v of them
+    for forward differences with step 1e-6 max(1, |eta|), 2v for central
+    ones with step CENTRAL_STEP max(1, |eta|). Row 0 gives the endpoints and
+    the exact columns along V and in log T (T x').
+    """
     h, v, n = group.h, group.v, group.n
     signs = np.array([1.0, -1.0] if central else [1.0])
     se = (CENTRAL_STEP if central else 1e-6) * np.maximum(1.0, np.abs(eta))
+    V = _tangent_basis(w)
     P0 = np.concatenate([w, eta], axis=-1)
-    P0e = np.broadcast_to(P0, (signs.size, v) + P0.shape).copy()
+    P0e = np.broadcast_to(P0, (1 + signs.size * v,) + P0.shape).copy()
     for a in range(v):
-        P0e[:, a, :, h + a] += signs[:, None] * se[:, a]
-    pts = ClosedFormPath(group=group, x0=np.zeros(n), P0=P0e).point(T)
-    diff = pts[0] - (pts[1] if central else x)
-    return np.moveaxis(diff / (signs.size * se.T[:, :, None]), 0, 2)
+        P0e[1 + a :: v, :, h + a] += signs[:, None] * se[:, a]
+    pts, xdot, ddir = ClosedFormPath(group=group, x0=np.zeros(n), P0=P0e).jet(
+        T, np.moveaxis(V, 2, 0)[:, None]
+    )
+    diff = pts[1 : 1 + v] - (pts[1 + v :] if central else pts[0])
+    Jeta = diff / (signs.size * se.T[:, :, None])
+    J = np.concatenate([ddir[:, 0], Jeta, (T[:, None] * xdot[0])[None]])
+    return pts[0], V, np.moveaxis(J, 0, 2)
 
 
 def _advance(V, w, eta, T, delta):
@@ -449,9 +450,12 @@ def _shoot(group, targets, starts, max_iter, careful=False):
     minimizer). Once a track converges to a certified root the other open
     tracks of its target stop where they are, unconverged, as do tracks
     still on a plateau after PLATEAU_ITER iterations of their own.
+    Each evaluation (a track's first, and every candidate) is one build of
+    1 + v covectors, the point and its copies perturbed in eta, whose jet
+    gives the endpoint and all Jacobian columns (``_jet_columns``).
     ``careful`` takes the second pass's step (``_careful_step``, central
-    differences in eta, the damping floor at 1e-20) in place of the normal
-    equations. Returns
+    differences in eta from builds of 1 + 2v covectors, the damping floor
+    at 1e-20) in place of the normal equations. Returns
     per-track arrays of shape (m, starts): directions, covectors, times,
     residual norms (inf where a track never opened) and convergence flags.
     """
@@ -469,8 +473,7 @@ def _shoot(group, targets, starts, max_iter, careful=False):
     lam = np.full(K, 1e-3)
     x = np.empty((K, n))
     V = np.empty((K, h, h - 1))
-    Jdir = np.empty((K, n, h - 1))
-    Jlog = np.empty((K, n))
+    Jac = np.empty((K, n, n))  # unknowns: h - 1 angles, v covector, log-time
     fn = np.full(K, np.inf)
     conv = np.zeros(K, dtype=bool)
     dead = np.zeros(K, dtype=bool)
@@ -480,13 +483,12 @@ def _shoot(group, targets, starts, max_iter, careful=False):
     solved = np.zeros(m, dtype=bool)
     new = np.zeros(K, dtype=bool)
     wake = np.arange(K) % starts == 0
-    nu = n  # unknowns: (h-1) angles + v covector components + log-time
     lam_floor = 1e-20 if careful else 1e-12
 
     while True:
         if wake.any():
             o = np.nonzero(wake)[0]
-            x[o], V[o], Jdir[o], Jlog[o] = _jet_columns(group, w[o], eta[o], T[o])
+            x[o], V[o], Jac[o] = _jet_columns(group, w[o], eta[o], T[o], careful)
             fn[o] = np.linalg.norm(x[o] - y[o], axis=1)
             opened[o] = True
             new = wake & (fn <= track_tol)
@@ -506,14 +508,7 @@ def _shoot(group, targets, starts, max_iter, careful=False):
         idx = np.nonzero(act)[0]
         wa, ea, Ta = w[idx], eta[idx], T[idx]
         ya, fna, lama, xa = y[idx], fn[idx], lam[idx], x[idx]
-        ka = idx.size
-
-        # exact direction and log-time columns from the jet that evaluated
-        # this point; differences in the vertical covector
-        J = np.empty((ka, n, nu))
-        J[:, :, : h - 1] = Jdir[idx]
-        J[:, :, -1] = Jlog[idx]
-        J[:, :, h - 1 : -1] = _eta_columns(group, wa, ea, Ta, xa, careful)
+        J = Jac[idx]  # from the build that evaluated this point
 
         if careful:
             near = fna <= PLATEAU_TOL * scale[idx]
@@ -523,20 +518,19 @@ def _shoot(group, targets, starts, max_iter, careful=False):
             g = np.einsum("kri,kr->ki", J, xa - ya)
             D = np.maximum(np.einsum("kii->ki", A), 1e-12)
             Areg = A.copy()
-            diag = np.arange(nu)
+            diag = np.arange(n)
             Areg[:, diag, diag] += (lama + 1e-13)[:, None] * D
             delta = -np.linalg.solve(Areg, g[..., None])[..., 0]
 
         wc, ec, Tc = _advance(V[idx], wa, ea, Ta, delta)
-        # the candidate's jet is the next iteration's base if it is accepted
-        xc, Vc, Jdc, Jlc = _jet_columns(group, wc, ec, Tc)
+        # the candidate's build is the next iteration's base if it is accepted
+        xc, Vc, Jc = _jet_columns(group, wc, ec, Tc, careful)
         fnc = np.linalg.norm(xc - ya, axis=1)
         better = np.isfinite(fnc) & (fnc < fna)
 
         b = idx[better]
         w[b], eta[b], T[b], fn[b] = wc[better], ec[better], Tc[better], fnc[better]
-        x[b], V[b] = xc[better], Vc[better]
-        Jdir[b], Jlog[b] = Jdc[better], Jlc[better]
+        x[b], V[b], Jac[b] = xc[better], Vc[better], Jc[better]
         lam[idx] = np.where(better, np.maximum(lama * 0.3, lam_floor), lama * 7.0)
         its[idx] += 1
         new = np.zeros(K, dtype=bool)

@@ -211,8 +211,9 @@ def test_unconverged_target_retried_on_inverse():
 
 
 def test_shooting_builds_v_plus_one_covectors_per_iteration(monkeypatch):
-    # an active track builds its v perturbed covectors and its candidate per
-    # iteration; the candidate's jet is the next base, so nothing else
+    # every evaluation (a start's first and each candidate) is one build of
+    # the point and its v perturbed covectors; an accepted candidate's build
+    # is the next base, so an iteration builds nothing else
     built = []
 
     class Counted(distance.ClosedFormPath):
@@ -227,13 +228,14 @@ def test_shooting_builds_v_plus_one_covectors_per_iteration(monkeypatch):
         g, np.array([[0.0, 0.0, 0.0, 3.0, -1.0]]), starts, k
     )
     assert not conv.any()  # every track stays active for all k iterations
-    assert sum(built) == starts * (1 + k * (g.v + 1))
+    assert sum(built) == starts * (k + 1) * (g.v + 1)
 
 
 def test_target_certified_by_its_first_start_opens_no_other(monkeypatch):
     # a corank-3 target whose first start converges to a certified root
-    # builds only that start's covectors: its first jet, then v perturbed
-    # covectors and one candidate per iteration
+    # builds only that start's covectors: one build of the point and its v
+    # perturbed covectors per evaluation, where opening the other starts
+    # would build more rows at once
     built = []
 
     class Counted(distance.ClosedFormPath):
@@ -249,9 +251,68 @@ def test_target_certified_by_its_first_start_opens_no_other(monkeypatch):
     _, eta, T, _, conv = distance._shoot(g, y[None], 16, distance.MAX_ITER)
     assert conv[0, 0] and not conv[0, 1:].any()
     assert distance._top_frequency(g, eta[0, 0]) * T[0, 0] < 2.0 * np.pi
-    k = built.count(g.v)
-    assert k > 0
-    assert built == [1] + [g.v, 1] * k
+    assert len(built) > 1
+    assert built == [g.v + 1] * len(built)
+
+
+def test_one_build_gives_the_endpoint_and_every_column():
+    # the stacked build's row 0 is a jet of the unperturbed covectors alone,
+    # and its eta columns are differences of separately built perturbed ones
+    g = random_two_step(4, 3, np.random.default_rng(21))
+    h, v, n = g.h, g.v, g.n
+    rng = np.random.default_rng(22)
+    w = rng.normal(size=(24, h))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    eta = rng.normal(size=(24, v)) * np.array([0.3, 2.0, 0.02])
+    T = rng.uniform(0.2, 3.0, 24)
+    V = distance._tangent_basis(w)
+    P0 = np.concatenate([w, eta], axis=1)
+    x0 = np.zeros(n)
+    x, xdot, ddir = distance.ClosedFormPath(group=g, x0=x0, P0=P0).jet(
+        T, np.moveaxis(V, 2, 0)
+    )
+
+    def shifted(a, step):
+        P = P0.copy()
+        P[:, h + a] += step
+        return distance.ClosedFormPath(group=g, x0=x0, P0=P).point(T)
+
+    for central in (False, True):
+        xj, Vj, J = distance._jet_columns(g, w, eta, T, central)
+        assert np.array_equal(xj, x) and np.array_equal(Vj, V)
+        assert np.array_equal(J[:, :, : h - 1], np.moveaxis(ddir, 0, 2))
+        assert np.array_equal(J[:, :, -1], T[:, None] * xdot)
+        step = distance.CENTRAL_STEP if central else 1e-6
+        se = step * np.maximum(1.0, np.abs(eta))
+        for a in range(v):
+            if central:
+                col = (shifted(a, se[:, a]) - shifted(a, -se[:, a])) / (2 * se[:, a, None])
+            else:
+                col = (shifted(a, se[:, a]) - x) / se[:, a, None]
+            assert np.array_equal(J[:, :, h - 1 + a], col)
+
+
+def test_careful_shooting_builds_one_plus_two_v_covectors(monkeypatch):
+    # the careful pass differences centrally: each evaluation builds the
+    # point and 2v perturbed covectors (the acceleration probes of tracks
+    # near a root are one-row-per-track builds of their own)
+    evals = []
+
+    class Counted(distance.ClosedFormPath):
+        def __post_init__(self):
+            super().__post_init__()
+            if len(self.batch) == 2:
+                evals.append(self.batch)
+
+    monkeypatch.setattr(distance, "ClosedFormPath", Counted)
+    g = random_two_step(3, 2, np.random.default_rng(10))
+    starts, k = 2, 3
+    *_, conv = distance._shoot(
+        g, np.array([[0.0, 0.0, 0.0, 3.0, -1.0]]), starts, k, careful=True
+    )
+    assert not conv.any()
+    assert all(b[0] == 1 + 2 * g.v for b in evals)
+    assert sum(b[1] for b in evals) == starts * (k + 1)
 
 
 def test_pick_is_lexicographic_first_of_equals():
