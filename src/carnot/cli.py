@@ -25,17 +25,7 @@ from .distance import (
     gauss_system_integrate,
     sphere_sample,
 )
-from .errors import (
-    CarnotError,
-    Characteristic,
-    NoConvergence,
-    NotOnSurface,
-    NotUnit,
-    NotUnitSpeed,
-    OutsideChart,
-    WrongStep,
-    ZeroGradient,
-)
+from .errors import CarnotError, NoConvergence
 from .expmap import ClosedFormPath
 from .geodesics import GeodesicTrace, integrate_normal, integrate_stepwise
 from .groups import engel, h1, hn, load_group
@@ -57,17 +47,6 @@ BUILTIN_GROUPS = {
     "h3": lambda: hn(3),
     "engel": engel,
 }
-
-_PRECONDITION_ERRORS = (
-    WrongStep,
-    Characteristic,
-    NotOnSurface,
-    NotUnit,
-    NotUnitSpeed,
-    OutsideChart,
-    ZeroGradient,
-)
-
 
 class ConfigError(Exception):
     pass
@@ -584,9 +563,6 @@ def main(argv=None):
     except ConfigError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except _PRECONDITION_ERRORS as e:
-        print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return 3
     except NoConvergence as e:
         print("NoConvergence: %s" % e, file=sys.stderr)
         return 4

@@ -21,25 +21,24 @@ among them) is reached on the boundary u = 2 pi / lambda_max by a family of
 minimizers that turn full circles in the fastest planes; it is flagged with
 ``multiplicity``.
 
-Corank >= 2 is solved by shooting, as a square root-finding problem in the
-unknowns (direction on the unit horizontal sphere, vertical covector,
-arrival time). The solver is a damped Gauss-Newton iteration on batches of
-(target, start) tracks at once, with the direction handled in local angular
-coordinates (an orthonormal basis of the tangent plane at the current
-direction, re-centered every iteration, so there are no chart poles) and the
-time through its logarithm (positivity for free). The direction and time
-columns of the Jacobian are exact: the closed form is linear in the
-horizontal momentum in its horizontal part and quadratic in its vertical
-part, so ``ClosedFormPath.jet`` gives the derivative along each tangent
-direction by polarization, from the same spectral data, sinc/hv factors and
-product integrals as the point itself, and d/d(log T) is T times the arrival
-velocity. The v vertical-covector columns are forward differences (central
-in the careful pass below) of covectors perturbed in eta. Each evaluation,
-a start's first and every step's candidate, is one build of 1 + v
-covectors (1 + 2v in the careful pass), the point and its perturbed copies,
-and one jet of it gives the endpoint and every column. An accepted
-candidate's columns are the next iteration's base, and a rejected one
-leaves the base's, so an iteration of a track is one build.
+Corank >= 2 is solved by shooting. Normal geodesics are homogeneous:
+x(T; P0) = x(1; T P0), so the exponential is a map of one covector
+Q = T (nu, eta) at time 1 (Agrachev-Barilari-Boscain, 2019), and a root of
+exp(Q)(1) = z gives the unit covector Q / |Q_H| and the length T = |Q_H|.
+The solver is a damped Gauss-Newton iteration in Q, a square system of n
+unknowns, on batches of (target, start) tracks at once; an accepted step is
+Q + delta. The h horizontal columns of the Jacobian are exact: the closed
+form is linear in the horizontal momentum in its horizontal part and
+quadratic in its vertical part, so ``ClosedFormPath.jet`` gives the
+derivative along each e_i by polarization, from the same spectral data,
+sinc/hv factors and product integrals as the point itself. The v vertical
+columns are forward differences (central in the careful pass below) of
+covectors perturbed in Q_V. Each evaluation, a start's first and every
+step's candidate, is one build of 1 + v covectors (1 + 2v in the careful
+pass), the point and its perturbed copies, and one jet of it gives the
+endpoint and every column. An accepted candidate's columns are the next
+iteration's base, and a rejected one leaves the base's, so an iteration of
+a track is one build.
 A track that after PLATEAU_ITER iterations still misses its target by
 more than PLATEAU_TOL relative to max(1, |z|) sits on a plateau away from
 every root and stops there; tracks creeping next to an ill-conditioned root
@@ -96,15 +95,15 @@ displacement) useful for pruning brute-force sweeps.
 A target left with no root by z and -z is shot once more, on the same
 lattice and with the same staging, with a careful step: the damped step from
 the SVD of the column-scaled Jacobian with the damping floor at 1e-20
-instead of 1e-12, central differences in the vertical covector, and on
-tracks within PLATEAU_TOL the geodesic acceleration of Transtrum and Sethna
-(arXiv:1207.4999). The plain step's normal equations square the Jacobian's
-condition number, and its damping floor outweighs the curvature along a
-nearly null direction, so tracks stall above ROOT_TOL next to a nearly
-abnormal root (a Jacobian singular value of 5e-8) or in a curved valley.
-The careful step builds 1 + 2v covectors per evaluation, where the plain
-one builds 1 + v; the second pass replaces a result only where it finds a
-root.
+instead of 1e-12, central differences in the vertical covector, and the
+geodesic acceleration of Transtrum and Sethna (arXiv:1207.4999) on every
+track. The plain step's normal equations square the Jacobian's condition
+number, and its damping floor outweighs the curvature along a nearly null
+direction, so tracks stall above ROOT_TOL next to a nearly abnormal root (a
+Jacobian singular value of 5e-8) or in a curved valley. The careful step
+builds 1 + 2v covectors per evaluation, and one more covector per track for
+the acceleration, where the plain one builds 1 + v; the second pass
+replaces a result only where it finds a root.
 """
 
 from dataclasses import dataclass, field
@@ -115,7 +114,7 @@ from . import _trig
 from .errors import NoConvergence, NonFiniteState, NotUnit
 from .expmap import ClosedFormPath, exp_sr_2step, require_step2, skew_canonical
 from .geodesics import integrate_normal
-from .groups import CarnotGroup, c_operator, group_product
+from .groups import CarnotGroup, _tangent_basis, c_operator, group_product
 
 __all__ = [
     "ShootingSolution",
@@ -142,9 +141,8 @@ MAX_ITER = 200
 PLATEAU_ITER = 60
 PLATEAU_TOL = 1e-4
 # the careful second pass of the module docstring: step of its central
-# differences relative to max(1, |eta|); probe of the geodesic acceleration
-# and the largest |a| / |delta| it is taken at, over 2 (it is tried on
-# tracks below PLATEAU_TOL)
+# differences relative to max(1, |Q_V|); probe of the geodesic acceleration
+# and the largest |a| / |delta| it is taken at, over 2
 CENTRAL_STEP = 6e-6
 ACCEL_PROBE = 0.1
 ACCEL_RATIO = 0.75
@@ -288,24 +286,6 @@ def gauss_system_integrate(group, x0, nuH0, varpi0, r, steps=2000):
     return trace
 
 
-def _tangent_basis(w):
-    """Orthonormal basis of the tangent plane at unit rows w, (m, h, h-1).
-
-    Columns 2..h of the Householder reflection exchanging e1 and -sign(w1) w
-    span the orthogonal complement of w; the sign choice keeps the reflector
-    away from its own null configuration.
-    """
-    m, h = w.shape
-    sign = np.where(w[:, 0] >= 0.0, 1.0, -1.0)
-    u = w.copy()
-    u[:, 0] += sign
-    H = -2.0 * u[:, :, None] * u[:, None, :] / np.einsum(
-        "mi,mi->m", u, u
-    )[:, None, None]
-    H[:, np.arange(h), np.arange(h)] += 1.0
-    return H[:, :, 1:]
-
-
 def _pick(P0s, ties):
     """Per target, the column of the root the fold keeps among ``ties``.
 
@@ -370,110 +350,95 @@ def _start_grid(group, targets, starts):
     return w0, eta0, T0
 
 
-def _jet_columns(group, w, eta, T, central):
-    """The endpoints of (w, eta) at T, the tangent basis V at w and the
-    Jacobian in ``_shoot``'s unknowns, from one jet of one build.
+def _jet_columns(group, Q, central):
+    """The endpoints exp(Q)(1) and the Jacobian in Q, from one jet of one
+    build.
 
-    The build stacks (w, eta) over its copies perturbed in eta, v of them
-    for forward differences with step 1e-6 max(1, |eta|), 2v for central
-    ones with step CENTRAL_STEP max(1, |eta|). Row 0 gives the endpoints and
-    the exact columns along V and in log T (T x').
+    The build stacks Q over its copies perturbed in Q_V, v of them for
+    forward differences with step 1e-6 max(1, |Q_V|), 2v for central ones
+    with step CENTRAL_STEP max(1, |Q_V|). Row 0 gives the endpoints and the
+    h exact horizontal columns, a jet at time 1 along the unit vectors e_i.
     """
     h, v, n = group.h, group.v, group.n
     signs = np.array([1.0, -1.0] if central else [1.0])
-    se = (CENTRAL_STEP if central else 1e-6) * np.maximum(1.0, np.abs(eta))
-    V = _tangent_basis(w)
-    P0 = np.concatenate([w, eta], axis=-1)
-    P0e = np.broadcast_to(P0, (1 + signs.size * v,) + P0.shape).copy()
+    se = (CENTRAL_STEP if central else 1e-6) * np.maximum(1.0, np.abs(Q[:, h:]))
+    Qe = np.broadcast_to(Q, (1 + signs.size * v,) + Q.shape).copy()
     for a in range(v):
-        P0e[1 + a :: v, :, h + a] += signs[:, None] * se[:, a]
-    pts, xdot, ddir = ClosedFormPath(group=group, x0=np.zeros(n), P0=P0e).jet(
-        T, np.moveaxis(V, 2, 0)[:, None]
+        Qe[1 + a :: v, :, h + a] += signs[:, None] * se[:, a]
+    pts, dH = ClosedFormPath(group=group, x0=np.zeros(n), P0=Qe).jet(
+        1.0, np.eye(h)[:, None, None]
     )
     diff = pts[1 : 1 + v] - (pts[1 + v :] if central else pts[0])
-    Jeta = diff / (signs.size * se.T[:, :, None])
-    J = np.concatenate([ddir[:, 0], Jeta, (T[:, None] * xdot[0])[None]])
-    return pts[0], V, np.moveaxis(J, 0, 2)
+    JV = diff / (signs.size * se.T[:, :, None])
+    return pts[0], np.moveaxis(np.concatenate([dH[:, 0], JV]), 0, 2)
 
 
-def _advance(V, w, eta, T, delta):
-    """The point delta away from (w, eta, T) in the local coordinates of
-    ``_shoot``: angles along the tangent basis V, covector, log-time."""
-    h = w.shape[1]
-    wc = w + np.einsum("kij,kj->ki", V, delta[:, : h - 1])
-    wc = wc / np.linalg.norm(wc, axis=-1, keepdims=True)
-    Tc = T * np.exp(np.clip(delta[:, -1], -1.5, 1.5))
-    return wc, eta + delta[:, h - 1 : -1], Tc
-
-
-def _careful_step(group, J, x, y, lam, V, w, eta, T, accel):
+def _careful_step(group, J, x, y, lam, Q):
     """The damped step from the SVD of the column-scaled Jacobian, plus half
-    the geodesic acceleration on the rows ``accel``.
+    its geodesic acceleration.
 
     The SVD keeps the condition number of J, which the normal equations
     square. The acceleration a solves the same damped system for the second
     directional derivative of the residual along the step, a difference
-    quotient with probe ACCEL_PROBE (Transtrum and Sethna, arXiv:1207.4999);
-    it is taken only where 2 |a| <= ACCEL_RATIO |delta| in the scaled norm.
+    quotient from one build at Q + ACCEL_PROBE delta (Transtrum and Sethna,
+    arXiv:1207.4999); it is taken on every track where 2 |a| <= ACCEL_RATIO
+    |delta| in the scaled norm.
     """
     d = np.sqrt(np.maximum(np.einsum("kri,kri->ki", J, J), 1e-12))
     U, s, Wt = np.linalg.svd(J / d[:, None, :])
     filt = s / (s * s + lam[:, None])
 
-    def solve(res, rows=slice(None)):
-        c = filt[rows] * np.einsum("kri,kr->ki", U[rows], res)
-        return -np.einsum("kji,kj->ki", Wt[rows], c) / d[rows]
+    def solve(res):
+        c = filt * np.einsum("kri,kr->ki", U, res)
+        return -np.einsum("kji,kj->ki", Wt, c) / d
 
     delta = solve(x - y)
-    r = np.nonzero(accel)[0]
-    if r.size:
-        wp, ep, Tp = _advance(V[r], w[r], eta[r], T[r], ACCEL_PROBE * delta[r])
-        P0p = np.concatenate([wp, ep], axis=-1)
-        xp = ClosedFormPath(group=group, x0=np.zeros(group.n), P0=P0p).point(Tp)
-        curv = (2.0 / ACCEL_PROBE) * (
-            (xp - x[r]) / ACCEL_PROBE - np.einsum("kri,ki->kr", J[r], delta[r])
-        )
-        acc = solve(curv, r)
-        size = np.linalg.norm(np.stack([acc, delta[r]]) * d[r], axis=-1)
-        take = 2.0 * size[0] <= ACCEL_RATIO * size[1]
-        delta[r[take]] += 0.5 * acc[take]
+    Qp = Q + ACCEL_PROBE * delta
+    xp = ClosedFormPath(group=group, x0=np.zeros(group.n), P0=Qp).point(1.0)
+    curv = (2.0 / ACCEL_PROBE) * (
+        (xp - x) / ACCEL_PROBE - np.einsum("kri,ki->kr", J, delta)
+    )
+    acc = solve(curv)
+    size = np.linalg.norm(np.stack([acc, delta]) * d, axis=-1)
+    take = 2.0 * size[0] <= ACCEL_RATIO * size[1]
+    delta[take] += 0.5 * acc[take]
     return delta
 
 
 def _shoot(group, targets, starts, max_iter, careful=False):
     """Damped Gauss-Newton over all (target, start) tracks simultaneously.
 
-    A target's tracks open in lattice order: its first start runs alone,
-    and the others open together only once every open track of that target
-    has ended (converged, stalled or after max_iter iterations of its own)
-    without a certified root (sigma_max(C_H(eta)) T < 2 pi, the unique
-    minimizer). Once a track converges to a certified root the other open
-    tracks of its target stop where they are, unconverged, as do tracks
-    still on a plateau after PLATEAU_ITER iterations of their own.
-    Each evaluation (a track's first, and every candidate) is one build of
-    1 + v covectors, the point and its copies perturbed in eta, whose jet
-    gives the endpoint and all Jacobian columns (``_jet_columns``).
-    ``careful`` takes the second pass's step (``_careful_step``, central
-    differences in eta from builds of 1 + 2v covectors, the damping floor
-    at 1e-20) in place of the normal equations. Returns
-    per-track arrays of shape (m, starts): directions, covectors, times,
-    residual norms (inf where a track never opened) and convergence flags.
+    Each track's unknown is one covector Q = T (w, eta), and it solves
+    exp(Q)(1) = z from Q0 = T0 (w0, eta0) of ``_start_grid``; an accepted
+    step is Q + delta. A target's tracks open in lattice order: its first
+    start runs alone, and the others open together only once every open
+    track of that target has ended (converged, stalled or after max_iter
+    iterations of its own) without a certified root (sigma_max(C_H(Q_V))
+    < 2 pi, the unique minimizer). Once a track converges to a certified
+    root the other open tracks of its target stop where they are,
+    unconverged, as do tracks still on a plateau after PLATEAU_ITER
+    iterations of their own. Each evaluation (a track's first, and every
+    candidate) is one build of 1 + v covectors, the point and its copies
+    perturbed in Q_V, whose jet gives the endpoint and all Jacobian columns
+    (``_jet_columns``). ``careful`` takes the second pass's step
+    (``_careful_step``, central differences in Q_V from builds of 1 + 2v
+    covectors, the damping floor at 1e-20) in place of the normal
+    equations. Returns per-track arrays of shape (m, starts): unit
+    directions Q_H / |Q_H|, covectors Q_V / |Q_H|, times |Q_H|, residual
+    norms (inf where a track never opened) and convergence flags.
     """
     h, v, n = group.h, group.v, group.n
     m = targets.shape[0]
     w0, eta0, T0 = _start_grid(group, targets, starts)
     K = m * starts
-    w = w0.reshape(K, h)
-    eta = eta0.reshape(K, v)
-    T = T0.reshape(K)
+    Q = (T0[..., None] * np.concatenate([w0, eta0], axis=-1)).reshape(K, n)
     y = np.repeat(targets, starts, axis=0)
     scale = np.repeat(np.maximum(1.0, np.linalg.norm(targets, axis=1)), starts)
     track_tol = ROOT_TOL * scale
 
     lam = np.full(K, 1e-3)
     x = np.empty((K, n))
-    V = np.empty((K, h, h - 1))
-    Jac = np.empty((K, n, n))  # unknowns: h - 1 angles, v covector, log-time
+    Jac = np.empty((K, n, n))
     fn = np.full(K, np.inf)
     conv = np.zeros(K, dtype=bool)
     dead = np.zeros(K, dtype=bool)
@@ -488,13 +453,13 @@ def _shoot(group, targets, starts, max_iter, careful=False):
     while True:
         if wake.any():
             o = np.nonzero(wake)[0]
-            x[o], V[o], Jac[o] = _jet_columns(group, w[o], eta[o], T[o], careful)
+            x[o], Jac[o] = _jet_columns(group, Q[o], careful)
             fn[o] = np.linalg.norm(x[o] - y[o], axis=1)
             opened[o] = True
             new = wake & (fn <= track_tol)
             conv |= new
         k = np.nonzero(new)[0]
-        certified = _top_frequency(group, eta[k]) * T[k] < 2.0 * np.pi
+        certified = _top_frequency(group, Q[k, h:]) < 2.0 * np.pi
         solved[owner[k[certified]]] = True
         dead |= ~conv & (its >= PLATEAU_ITER) & (fn > PLATEAU_TOL * scale)
         act = opened & ~conv & ~dead & ~solved[owner] & (its < max_iter)
@@ -506,13 +471,11 @@ def _shoot(group, targets, starts, max_iter, careful=False):
         if not act.any():
             break
         idx = np.nonzero(act)[0]
-        wa, ea, Ta = w[idx], eta[idx], T[idx]
-        ya, fna, lama, xa = y[idx], fn[idx], lam[idx], x[idx]
+        Qa, ya, fna, lama, xa = Q[idx], y[idx], fn[idx], lam[idx], x[idx]
         J = Jac[idx]  # from the build that evaluated this point
 
         if careful:
-            near = fna <= PLATEAU_TOL * scale[idx]
-            delta = _careful_step(group, J, xa, ya, lama, V[idx], wa, ea, Ta, near)
+            delta = _careful_step(group, J, xa, ya, lama, Qa)
         else:
             A = np.einsum("kri,krj->kij", J, J)
             g = np.einsum("kri,kr->ki", J, xa - ya)
@@ -522,15 +485,14 @@ def _shoot(group, targets, starts, max_iter, careful=False):
             Areg[:, diag, diag] += (lama + 1e-13)[:, None] * D
             delta = -np.linalg.solve(Areg, g[..., None])[..., 0]
 
-        wc, ec, Tc = _advance(V[idx], wa, ea, Ta, delta)
+        Qc = Qa + delta
         # the candidate's build is the next iteration's base if it is accepted
-        xc, Vc, Jc = _jet_columns(group, wc, ec, Tc, careful)
+        xc, Jc = _jet_columns(group, Qc, careful)
         fnc = np.linalg.norm(xc - ya, axis=1)
         better = np.isfinite(fnc) & (fnc < fna)
 
         b = idx[better]
-        w[b], eta[b], T[b], fn[b] = wc[better], ec[better], Tc[better], fnc[better]
-        x[b], V[b], Jac[b] = xc[better], Vc[better], Jc[better]
+        Q[b], fn[b], x[b], Jac[b] = Qc[better], fnc[better], xc[better], Jc[better]
         lam[idx] = np.where(better, np.maximum(lama * 0.3, lam_floor), lama * 7.0)
         its[idx] += 1
         new = np.zeros(K, dtype=bool)
@@ -539,9 +501,11 @@ def _shoot(group, targets, starts, max_iter, careful=False):
         dead[idx] = ~conv[idx] & (lam[idx] > 1e10)
 
     shape = (m, starts)
+    T = np.linalg.norm(Q[:, :h], axis=1)
+    P = Q / T[:, None]
     return (
-        w.reshape(m, starts, h),
-        eta.reshape(m, starts, v),
+        P[:, :h].reshape(m, starts, h),
+        P[:, h:].reshape(m, starts, v),
         T.reshape(shape),
         fn.reshape(shape),
         conv.reshape(shape),

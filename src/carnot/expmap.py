@@ -35,7 +35,10 @@ the four terms from one contraction of the stacked tensors.
 x_H(t) is linear and x_V(t) quadratic in P_H(0), so by polarization the
 derivative along a horizontal momentum dP_H is exact: E(t) dP_H, and
 -(1/2) dq^T (G_a + G_a^T) q with dq = U^T dP_H, G_a = K1 T1 - K2 T2 - K3 T3
-+ K4 T4, plus the part linear in x_H(0).
++ K4 T4, plus the part linear in x_H(0). ``ClosedFormPath.jet`` returns the
+point and these derivatives from one set of factors; at t = 1 along the
+unit vectors e_i they are the exact horizontal columns of the exponential
+Q -> x(1; Q), which the shooting solver of carnot.distance inverts.
 
 All formulas are valid for negative t and broadcast over batches of
 covectors; t itself broadcasts against the batch shape, so a trailing grid
@@ -49,7 +52,7 @@ import numpy as np
 
 from . import _trig
 from .errors import NotSkew, WrongStep
-from .groups import CarnotGroup, c_operator, frame_apply
+from .groups import CarnotGroup, c_operator
 
 __all__ = [
     "SkewCanonicalForm",
@@ -282,24 +285,21 @@ class ClosedFormPath:
         return x, np.concatenate([ph, pv], axis=-1)
 
     def jet(self, t, dPH):
-        """x(t), its velocity and its derivatives along horizontal momenta.
+        """x(t) and its derivatives along horizontal momenta.
 
         ``dPH`` stacks j horizontal momenta, shape (j,) + S + (h,) with S
         broadcasting against the batch and t. Returns x(t), bit for bit as
-        ``point`` gives it; the velocity frame_apply(x(t), (P_H(t), 0)); and
-        the derivatives of x(t) in P_H(0) along each dPH, shape (j,) + B +
-        (n,), exact by polarization (see the module docstring). All three
-        share one set of sinc/hv factors and one stack of product integrals.
+        ``point`` gives it, and the derivatives of x(t) in P_H(0) along each
+        dPH, shape (j,) + B + (n,), exact by polarization (see the module
+        docstring). Both share one set of sinc/hv factors and one stack of
+        product integrals.
         """
         h = self.group.h
         tB, z, s, e = self._factors(t)
-        delta, ph = self._flow(z, s, e)
+        delta = self._spread(s * self.q, e * self.q)
         T = self._products(tB, z)
         xv = self.x0[..., h:] - 0.5 * self._increments(T, delta)
         x = np.concatenate([self.x0[..., :h] + delta, xv], axis=-1)
-        xdot = frame_apply(
-            self.group, x, np.concatenate([ph, np.zeros_like(xv)], axis=-1)
-        )
 
         dq = np.einsum("...ip,...i->...p", self.U, np.asarray(dPH, dtype=float))
         ddelta = self._spread(s * dq, e * dq)
@@ -308,7 +308,7 @@ class ClosedFormPath:
         dI = np.einsum("...vj,...j->...v", self._CHx0, ddelta) + np.einsum(
             "...va,...a->...v", Gq, dq
         )
-        return x, xdot, np.concatenate([ddelta, -0.5 * dI], axis=-1)
+        return x, np.concatenate([ddelta, -0.5 * dI], axis=-1)
 
     def with_horizontal(self, PH):
         """Rebind the horizontal momentum, keeping the vertical spectral data.

@@ -171,6 +171,24 @@ class CarnotGroup:
         return f"CarnotGroup({label}, growth={self.growth.layers})"
 
 
+def _tangent_basis(w):
+    """Orthonormal basis of the tangent plane at unit rows w, (m, h, h-1).
+
+    Columns 2..h of the Householder reflection exchanging e1 and -sign(w1) w
+    span the orthogonal complement of w; the sign choice keeps the reflector
+    away from its own null configuration.
+    """
+    m, h = w.shape
+    sign = np.where(w[:, 0] >= 0.0, 1.0, -1.0)
+    u = w.copy()
+    u[:, 0] += sign
+    H = -2.0 * u[:, :, None] * u[:, None, :] / np.einsum(
+        "mi,mi->m", u, u
+    )[:, None, None]
+    H[:, np.arange(h), np.arange(h)] += 1.0
+    return H[:, :, 1:]
+
+
 def _triple(R, I, J):
     """1-based triple for error messages."""
     return f"(R={R + 1}, I={I + 1}, J={J + 1})"

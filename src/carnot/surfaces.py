@@ -40,7 +40,7 @@ from .errors import (
 )
 from .expmap import ClosedFormPath, require_step2
 from .geodesics import GeodesicTrace
-from .groups import CarnotGroup, frame_apply, left_frame
+from .groups import CarnotGroup, _tangent_basis, frame_apply, left_frame
 
 __all__ = [
     "HypersurfaceField",
@@ -222,15 +222,6 @@ def metric_normal(group, field, y, t_range=(-1.0, 1.0), samples=201, sign=1):
     return GeodesicTrace(times, xs, ps, meta, group=group)
 
 
-def _householder_complement(w):
-    """Orthonormal columns spanning w-perp for a single unit vector w."""
-    n = w.size
-    u = w.copy()
-    u[0] += 1.0 if w[0] >= 0.0 else -1.0
-    H = np.eye(n) - 2.0 * np.outer(u, u) / (u @ u)
-    return H[:, 1:]
-
-
 def _project_batch(field, p):
     """Newton projection of points p onto {f=0} along the gradient.
 
@@ -378,7 +369,7 @@ def build_chart(group, field, base, radius=0.5, eps0=0.5):
         raise Characteristic("chart base point is characteristic")
 
     gradf = field.coordinate_gradient(base)
-    E = _householder_complement(gradf / np.linalg.norm(gradf))
+    E = _tangent_basis((gradf / np.linalg.norm(gradf))[None])[0]
     n = group.n
     d = n - 1
 

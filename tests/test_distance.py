@@ -256,8 +256,9 @@ def test_target_certified_by_its_first_start_opens_no_other(monkeypatch):
 
 
 def test_one_build_gives_the_endpoint_and_every_column():
-    # the stacked build's row 0 is a jet of the unperturbed covectors alone,
-    # and its eta columns are differences of separately built perturbed ones
+    # the stacked build's row 0 is a jet of the covectors Q alone at time 1
+    # along the unit horizontal momenta, and its Q_V columns are differences
+    # of separately built perturbed ones
     g = random_two_step(4, 3, np.random.default_rng(21))
     h, v, n = g.h, g.v, g.n
     rng = np.random.default_rng(22)
@@ -265,37 +266,35 @@ def test_one_build_gives_the_endpoint_and_every_column():
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     eta = rng.normal(size=(24, v)) * np.array([0.3, 2.0, 0.02])
     T = rng.uniform(0.2, 3.0, 24)
-    V = distance._tangent_basis(w)
-    P0 = np.concatenate([w, eta], axis=1)
+    Q = T[:, None] * np.concatenate([w, eta], axis=1)
     x0 = np.zeros(n)
-    x, xdot, ddir = distance.ClosedFormPath(group=g, x0=x0, P0=P0).jet(
-        T, np.moveaxis(V, 2, 0)
+    x, dH = distance.ClosedFormPath(group=g, x0=x0, P0=Q).jet(
+        1.0, np.eye(h)[:, None]
     )
 
     def shifted(a, step):
-        P = P0.copy()
+        P = Q.copy()
         P[:, h + a] += step
-        return distance.ClosedFormPath(group=g, x0=x0, P0=P).point(T)
+        return distance.ClosedFormPath(group=g, x0=x0, P0=P).point(1.0)
 
     for central in (False, True):
-        xj, Vj, J = distance._jet_columns(g, w, eta, T, central)
-        assert np.array_equal(xj, x) and np.array_equal(Vj, V)
-        assert np.array_equal(J[:, :, : h - 1], np.moveaxis(ddir, 0, 2))
-        assert np.array_equal(J[:, :, -1], T[:, None] * xdot)
+        xj, J = distance._jet_columns(g, Q, central)
+        assert np.array_equal(xj, x)
+        assert np.array_equal(J[:, :, :h], np.moveaxis(dH, 0, 2))
         step = distance.CENTRAL_STEP if central else 1e-6
-        se = step * np.maximum(1.0, np.abs(eta))
+        se = step * np.maximum(1.0, np.abs(Q[:, h:]))
         for a in range(v):
             if central:
                 col = (shifted(a, se[:, a]) - shifted(a, -se[:, a])) / (2 * se[:, a, None])
             else:
                 col = (shifted(a, se[:, a]) - x) / se[:, a, None]
-            assert np.array_equal(J[:, :, h - 1 + a], col)
+            assert np.array_equal(J[:, :, h + a], col)
 
 
 def test_careful_shooting_builds_one_plus_two_v_covectors(monkeypatch):
     # the careful pass differences centrally: each evaluation builds the
-    # point and 2v perturbed covectors (the acceleration probes of tracks
-    # near a root are one-row-per-track builds of their own)
+    # point and 2v perturbed covectors (the acceleration probes are
+    # one-row-per-track builds of their own)
     evals = []
 
     class Counted(distance.ClosedFormPath):
@@ -313,6 +312,42 @@ def test_careful_shooting_builds_one_plus_two_v_covectors(monkeypatch):
     assert not conv.any()
     assert all(b[0] == 1 + 2 * g.v for b in evals)
     assert sum(b[1] for b in evals) == starts * (k + 1)
+
+
+STREAM_STALLS = [
+    # stream targets on which the careful pass's start-0 track stalls near
+    # 1.2e-4 unless it takes the geodesic acceleration on every track, and
+    # the planted lengths that reach them
+    (
+        [-0.7221540257238614, -0.21674536469443648, 0.08492690043444999,
+         -0.1455415475727576, 0.12656804844330222, 0.11774361586093292,
+         -0.04349956282069065],
+        1.0287471388254008,
+    ),
+    (
+        [0.29084987297934944, 0.45455238283539057, -0.23172931972887487,
+         -0.28581982513184534, 0.08089589129899577, 0.060550938771134655,
+         -0.01631797917709142],
+        0.8090870504049168,
+    ),
+    (
+        [0.09269994440540959, 0.46357401484561667, -0.3596326272781686,
+         -0.3672276745751497, -0.021960501552695848, -0.022605141238680248,
+         0.008337749354060108],
+        0.7162135840597329,
+    ),
+]
+
+
+@pytest.mark.parametrize("y, L", STREAM_STALLS)
+def test_careful_step_accelerates_every_track(y, L):
+    g = random_two_step(4, 3, np.random.default_rng(20091030))
+    y = np.array(y)
+    *_, conv = distance._shoot(g, y[None], 1, distance.MAX_ITER, careful=True)
+    assert conv[0, 0]
+    batch = distance_batch(g, np.zeros(g.n), y[None])
+    assert batch.converged[0] and batch.certified[0]
+    assert batch.T[0] <= L * (1.0 + 1e-9)
 
 
 def test_pick_is_lexicographic_first_of_equals():

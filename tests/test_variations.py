@@ -524,7 +524,7 @@ def test_integrate_jacobi_is_the_exact_exp_differential():
     delta -= (delta @ P0[: g.h]) * P0[: g.h]
     tr = integrate_normal(g, np.zeros(g.n), P0, 1.5, 600)
     out = integrate_jacobi(g, tr, np.zeros(g.n), np.concatenate([delta, np.zeros(g.v)]))
-    x, _, dx = ClosedFormPath(group=g, x0=np.zeros(g.n), P0=P0[None]).jet(
+    x, dx = ClosedFormPath(group=g, x0=np.zeros(g.n), P0=P0[None]).jet(
         tr.times, delta[None, None]
     )
     assert np.abs(out.components - frame_solve(g, x, dx[0])).max() < 1e-9

@@ -26,6 +26,8 @@ arrays are the numbers in each command's output text. "=" marks outputs
 that are bit-identical; "n/a" an array whose shape, or a number count, differs
 between the two, or an operation that raised in either.
 
+The exit status is 1 when any verdict was not "ok", 0 otherwise.
+
 Nothing under ``perfbench/`` is changed; the cli workload writes and
 removes its ``--out`` file in ``<root>/.perfbench-out/`` as the benchmark
 does.
@@ -171,7 +173,7 @@ def main(argv=None):
     for line in bad_lines:
         print(line)
     print("non-ok verdicts: %d" % nonok)
-    return 0
+    return 1 if nonok else 0
 
 
 if __name__ == "__main__":
