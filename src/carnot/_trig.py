@@ -27,6 +27,12 @@ Product integrals (za = a*t, zb = b*t; the caller applies the powers of t):
     t4 = int_0^1 u^3 sinc(za u) hv(zb u) du
 
 with sinc(z) = sin(z)/z and hv(z) = (1 - cos z)/z^2, both entire.
+
+Corank 1 needs none of the above but two plane kernels, shared by the
+closed-form exponential and the exact corank-1 distance: ``rotate_half``
+turns 2D plane components by half an angle, and s3(th) = (th - sin th)/th^3,
+entire, is the signed area a plane turning by th sweeps (a Taylor series
+below |th| = 0.5, where the difference cancels).
 """
 
 import numpy as np
@@ -47,6 +53,11 @@ _COEF = np.array(
          for k in range(_MAXK + 1)]
         for s in (0, 1)
     ]
+)
+
+
+_S3_COEF = np.array(
+    [(-1.0) ** k / np.prod(np.arange(1.0, 2 * k + 4)) for k in range(7)]
 )
 
 
@@ -201,3 +212,23 @@ def t4(za, zb):
             + wb * wb / 5760.0
         )
     return out.reshape(shape)
+
+
+def s3(theta):
+    """(th - sin th) / th^3, entire; its series below |th| = 0.5."""
+    w = theta * theta
+    # Horner in th^2, the operations of numpy.polynomial's polyval without
+    # importing numpy.polynomial (about 5 ms of a CLI process)
+    ser = _S3_COEF[-1] + w * 0.0
+    for c in _S3_COEF[-2::-1]:
+        ser = c + ser * w
+    small = np.abs(theta) < 0.5
+    ts = np.where(small, 1.0, theta)
+    return np.where(small, ser, (ts - np.sin(ts)) / ts**3)
+
+
+def rotate_half(planes, theta):
+    """Rotate plane components by cos(th/2) I + sin(th/2) J, J = [[0,1],[-1,0]]."""
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    x, y = planes[..., 0], planes[..., 1]
+    return np.stack([c * x + s * y, c * y - s * x], axis=-1)

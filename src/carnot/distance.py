@@ -112,7 +112,7 @@ import numpy as np
 
 from . import _trig
 from .errors import NoConvergence, NonFiniteState, NotUnit
-from .expmap import ClosedFormPath, exp_sr_2step, require_step2, skew_canonical
+from .expmap import ClosedFormPath, _corank1_form, exp_sr_2step, require_step2
 from .geodesics import integrate_normal
 from .groups import CarnotGroup, _tangent_basis, c_operator, group_product
 
@@ -512,38 +512,18 @@ def _shoot(group, targets, starts, max_iter, careful=False):
     )
 
 
-_S3_COEF = np.array(
-    [(-1.0) ** k / np.prod(np.arange(1.0, 2 * k + 4)) for k in range(7)]
-)
-
-
 def _gaveau(theta):
     """mu(th) = (th - sin th) / (8 sin^2(th/2)) and its derivative.
 
-    Written through the entire functions hv, sinc and s3(th) = (th - sin th)
-    / th^3 (a series below |th| = 0.5), so neither has a cancellation at 0;
-    both have poles at th = 2 pi k, k != 0.
+    Written through the entire functions hv, sinc and s3 of carnot._trig, so
+    neither has a cancellation at 0; both have poles at th = 2 pi k, k != 0.
     """
-    w = theta * theta
-    small = np.abs(theta) < 0.5
-    ts = np.where(small, 1.0, theta)
-    s3 = np.where(
-        small,
-        np.polynomial.polynomial.polyval(w, _S3_COEF),
-        (ts - np.sin(ts)) / ts**3,
-    )
+    s3 = _trig.s3(theta)
     hv = _trig.hv(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = theta * s3 / (4.0 * hv)
         dmu = (hv * hv - s3 * _trig.sinc(theta)) / (4.0 * hv * hv)
     return mu, dmu
-
-
-def _rotate_half(planes, theta):
-    """Rotate plane components by cos(th/2) I + sin(th/2) J, J = [[0,1],[-1,0]]."""
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    x, y = planes[..., 0], planes[..., 1]
-    return np.stack([c * x + s * y, c * y - s * x], axis=-1)
 
 
 def _corank1(group, targets):
@@ -565,7 +545,7 @@ def _corank1(group, targets):
     """
     h, n = group.h, group.n
     m = targets.shape[0]
-    form = skew_canonical(group.CH[0])
+    form = _corank1_form(group)
     lam = form.lambdas
     R = lam.size
     top = lam >= lam[0] * (1.0 - TOP_REL)
@@ -615,7 +595,7 @@ def _corank1(group, targets):
         active[idx[done]] = False
 
     theta = lam * (sign * u)[:, None]
-    w = _rotate_half(planes, theta) / _trig.sinc(0.5 * theta)[..., None]
+    w = _trig.rotate_half(planes, theta) / _trig.sinc(0.5 * theta)[..., None]
     # fastest planes past half a turn: |w_top|^2 = (th/2)^2 K with K fixed by
     # lambda_max (th - sin th) K / 8 = |y_V| - (slower planes' share)
     th = lam[0] * u
@@ -631,7 +611,7 @@ def _corank1(group, targets):
         _, e = np.frexp(np.abs(ptop).max(axis=(1, 2)))
         ptop = np.ldexp(ptop, -e[:, None, None])
         nrm = np.sqrt(np.einsum("mjk,mjk->mj", ptop, ptop).sum(axis=1))
-        turned = _rotate_half(ptop, theta[far][:, top])
+        turned = _trig.rotate_half(ptop, theta[far][:, top])
         heading = np.zeros_like(turned)
         heading[:, 0, 0] = 1.0
         on = nrm > 0.0

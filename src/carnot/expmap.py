@@ -2,8 +2,8 @@
 
 On a step-2 group the vertical momentum is constant along a normal geodesic,
 so the horizontal momentum obeys the linear equation P_H' = -M P_H with
-M = C_H(P_V) skew. Everything here flows from the spectral decomposition of
-M^T M: with (w, U) = eigh(M^T M) and sigma = sqrt(w),
+M = C_H(P_V) skew. On corank >= 2 everything flows from the spectral
+decomposition of M^T M: with (w, U) = eigh(M^T M) and sigma = sqrt(w),
 
     e^{-Mt}      = U cos(sigma t) U^T - M U t sinc(sigma t) U^T
     int_0^t e^{-Ms} ds = U t sinc(sigma t) U^T - M U t^2 hv(sigma t) U^T
@@ -40,12 +40,29 @@ point and these derivatives from one set of factors; at t = 1 along the
 unit vectors e_i they are the exact horizontal columns of the exponential
 Q -> x(1; Q), which the shooting solver of carnot.distance inverts.
 
+On corank 1 (v = 1, every Heisenberg group) none of this is needed.
+M = eta C^1 commutes with C^1, so in the canonical basis O of C^1
+(``skew_canonical``: planes j with frequencies lambda_j, then the kernel),
+which is one per group, each plane just turns by theta_j = lambda_j eta t
+(Gaveau, Acta Math. 1977). With p = O^T P_H(0), rot_half the rotation by
+half an angle and s3(th) = (th - sin th)/th^3, both from carnot._trig,
+
+    x_H(t) - x_H(0) = O [t sinc(theta_j/2) rot_half(p_j, -theta_j); t p_ker]
+    P_H(t)          = O [rot_half(p_j, -2 theta_j); p_ker]
+    x_V(t) = x_V(0) - (1/2) <C^1 x_H(0), x_H(t) - x_H(0)>
+             + (1/2) sum_j lambda_j |p_j|^2 t^2 theta_j s3(theta_j),
+
+O(h) per point with no eigendecomposition and no product integrals. The
+area term is a diagonal quadratic form in p, so its polarization gives the
+exact derivatives along dP_H as above.
+
 All formulas are valid for negative t and broadcast over batches of
 covectors; t itself broadcasts against the batch shape, so a trailing grid
 axis on the batch gives whole trajectories in one call.
 """
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,6 +172,24 @@ def skew_canonical(M):
     return SkewCanonicalForm(O=O, lambdas=lam_arr, nullity=N)
 
 
+@functools.lru_cache(maxsize=64)
+def _canonical_of(data, h):
+    form = skew_canonical(np.frombuffer(data).reshape(h, h).copy())
+    form.O.flags.writeable = False
+    form.lambdas.flags.writeable = False
+    return form
+
+
+def _corank1_form(group):
+    """``skew_canonical(group.CH[0])``, computed once per structure tensor.
+
+    Keyed on the bytes of C^1, so it is a pure function of the constants
+    and gives the same bits cold and warm; its arrays are read-only.
+    """
+    C = np.ascontiguousarray(group.CH[0], dtype=float)
+    return _canonical_of(C.tobytes(), C.shape[0])
+
+
 @dataclass
 class ClosedFormPath:
     """A batch of closed-form normal geodesics on a step-2 group.
@@ -163,10 +198,14 @@ class ClosedFormPath:
     vertical increments at any collection of times come out of vectorized
     kernel evaluations. Batch axes of x0 and P0 broadcast together; times
     passed to the evaluation methods broadcast against that batch shape.
-    The coefficient tensors K1..K4 of the module docstring are kept as one
+    U is an eigenbasis of M^T M and q = U^T P_H(0). On corank >= 2 the
+    coefficient tensors K1..K4 of the module docstring are kept as one
     tensor of shape batch + (v, 4, h, h), signs folded in, which
     ``increments`` contracts with W and the stacked product integrals at
-    once. A row's bits do not depend on the other rows of its batch.
+    once. On corank 1 there are no K tensors and no product integrals: U is
+    the canonical basis O of C^1, one per group, and every method works
+    plane by plane in O(h) per point. A row's bits do not depend on the
+    other rows of its batch.
     """
 
     group: CarnotGroup
@@ -191,11 +230,18 @@ class ClosedFormPath:
         self.batch = batch
 
         CH = g.CH
+        self._CHx0 = np.einsum("vij,...j->...vi", CH, self.x0[..., :h])
+        PH0 = self.P0[..., :h]
+        if g.v == 1:
+            form = _corank1_form(g)
+            self.U, self._lam = form.O, form.lambdas
+            self._eta = self.P0[..., h, None]
+            self.q = np.einsum("...ip,...i->...p", self.U, PH0)
+            return
         M = c_operator(g, self.P0[..., h:], horizontal=True)
         w, U = np.linalg.eigh(np.swapaxes(M, -1, -2) @ M)
         self.M, self.U = M, U
         self.sigma = np.sqrt(np.clip(w, 0.0, None))
-        PH0 = self.P0[..., :h]
         self.q = np.einsum("...ip,...i->...p", U, PH0)
         # K1..K4 of the module docstring, stacked; -MU folds in the signs
         # +, -, -, + of the four terms exactly
@@ -210,13 +256,16 @@ class ClosedFormPath:
         np.matmul(nMUt, CU, out=self._K[..., 2, :, :])
         np.matmul(nMUt, nCMU, out=self._K[..., 3, :, :])
         self._W = self.q[..., :, None] * self.q[..., None, :]
-        self._CHx0 = np.einsum("vij,...j->...vi", CH, self.x0[..., :h])
+
+    def _times(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.broadcast_to(t, np.broadcast_shapes(self.batch, t.shape))
 
     def _z(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.broadcast_shapes(self.batch, t.shape)
-        tB = np.broadcast_to(t, out)
-        return tB, tB[..., None] * np.broadcast_to(self.sigma, out + self.sigma.shape[-1:])
+        tB = self._times(t)
+        return tB, tB[..., None] * np.broadcast_to(
+            self.sigma, tB.shape + self.sigma.shape[-1:]
+        )
 
     def _factors(self, t):
         """t, z = sigma t and the per-frequency factors t sinc(z), t^2 hv(z).
@@ -253,26 +302,67 @@ class ClosedFormPath:
         np.multiply(ts**4, _trig.t4(za, zb), out=T[..., 3, :, :])
         return T
 
-    def horizontal(self, t):
-        """x_H(t), its time derivative P_H(t) and the displacement
-        x_H(t) - x_H(0), each of shape B + (h,)."""
-        _, z, s, e = self._factors(t)
-        delta, ph = self._flow(z, s, e)
-        return self.x0[..., : self.group.h] + delta, ph, delta
-
-    def _increments(self, T, delta):
-        """I^a(t) from the stack of ``_products`` and x_H(t) - x_H(0)."""
+    def _area(self, T):
+        """The part of I^a(t) quadratic in P_H(0), from ``_products``."""
         # the four terms of the stacked contraction are summed in order, as
         # four separate contractions would be
         Jk = np.einsum("...vkab,...ab,...kab->...vk", self._K, self._W, T)
-        J = Jk[..., 0] + Jk[..., 1] + Jk[..., 2] + Jk[..., 3]
-        return np.einsum("...vj,...j->...v", self._CHx0, delta) + J
+        return Jk[..., 0] + Jk[..., 1] + Jk[..., 2] + Jk[..., 3]
+
+    def _turns(self, t):
+        """Corank 1: t and the turns theta_j = lambda_j eta t of the planes,
+        as B + (1,) and B + (R,)."""
+        ts = self._times(t)[..., None]
+        return ts, self._lam * (self._eta * ts)
+
+    def _planes(self, q, ts, theta, momentum):
+        """Corank 1: x_H(t) - x_H(0), and P_H(t) if ``momentum``, for the
+        horizontal momentum with coordinates q in the basis O."""
+        h, R = self.group.h, theta.shape[-1]
+        qp = q[..., : 2 * R].reshape(q.shape[:-1] + (R, 2))
+        qk = q[..., 2 * R :]
+        lead = np.broadcast_shapes(q.shape[:-1], theta.shape[:-1])
+        d = np.empty(lead + (h,))
+        turned = _trig.rotate_half(qp, -theta)
+        d[..., : 2 * R] = (
+            (ts * _trig.sinc(0.5 * theta))[..., None] * turned
+        ).reshape(lead + (2 * R,))
+        d[..., 2 * R :] = ts * qk
+        delta = np.einsum("ip,...p->...i", self.U, d)
+        if not momentum:
+            return delta
+        p = np.empty(lead + (h,))
+        p[..., : 2 * R] = _trig.rotate_half(qp, -2.0 * theta).reshape(lead + (2 * R,))
+        p[..., 2 * R :] = qk
+        return delta, np.einsum("ip,...p->...i", self.U, p)
+
+    def _plane_area(self, ts, theta, q, dq):
+        """Corank 1: sum over planes j of a_j <q_j, dq_j>, where
+        a_j = lambda_j t^2 theta_j s3(theta_j) is the signed area per unit
+        |q_j|^2 that plane j sweeps (twice the area term's share)."""
+        R = theta.shape[-1]
+        a = self._lam * ts * ts * theta * _trig.s3(theta)
+        qq = q[..., : 2 * R] * dq[..., : 2 * R]
+        return (a * (qq[..., 0::2] + qq[..., 1::2])).sum(axis=-1)
+
+    def horizontal(self, t):
+        """x_H(t), its time derivative P_H(t) and the displacement
+        x_H(t) - x_H(0), each of shape B + (h,)."""
+        if self.group.v == 1:
+            delta, ph = self._planes(self.q, *self._turns(t), momentum=True)
+        else:
+            _, z, s, e = self._factors(t)
+            delta, ph = self._flow(z, s, e)
+        return self.x0[..., : self.group.h] + delta, ph, delta
 
     def increments(self, t, _delta=None):
         """All vertical line integrals I^a(t), shape B + (v,)."""
-        tB, z = self._z(t)
         delta = self.horizontal(t)[2] if _delta is None else _delta
-        return self._increments(self._products(tB, z), delta)
+        if self.group.v == 1:
+            J = -self._plane_area(*self._turns(t), self.q, self.q)[..., None]
+        else:
+            J = self._area(self._products(*self._z(t)))
+        return np.einsum("...vj,...j->...v", self._CHx0, delta) + J
 
     def point(self, t, return_momentum=False):
         h = self.group.h
@@ -291,23 +381,32 @@ class ClosedFormPath:
         broadcasting against the batch and t. Returns x(t), bit for bit as
         ``point`` gives it, and the derivatives of x(t) in P_H(0) along each
         dPH, shape (j,) + B + (n,), exact by polarization (see the module
-        docstring). Both share one set of sinc/hv factors and one stack of
-        product integrals.
+        docstring). Both share one set of factors: on corank >= 2 the
+        sinc/hv factors and one stack of product integrals, on corank 1 the
+        plane turns.
         """
         h = self.group.h
-        tB, z, s, e = self._factors(t)
-        delta = self._spread(s * self.q, e * self.q)
-        T = self._products(tB, z)
-        xv = self.x0[..., h:] - 0.5 * self._increments(T, delta)
-        x = np.concatenate([self.x0[..., :h] + delta, xv], axis=-1)
-
         dq = np.einsum("...ip,...i->...p", self.U, np.asarray(dPH, dtype=float))
-        ddelta = self._spread(s * dq, e * dq)
-        G = np.einsum("...vkab,...kab->...vab", self._K, T)
-        Gq = np.einsum("...vab,...b->...va", G + np.swapaxes(G, -1, -2), self.q)
-        dI = np.einsum("...vj,...j->...v", self._CHx0, ddelta) + np.einsum(
-            "...va,...a->...v", Gq, dq
+        if self.group.v == 1:
+            ts, theta = self._turns(t)
+            delta = self._planes(self.q, ts, theta, momentum=False)
+            J = -self._plane_area(ts, theta, self.q, self.q)[..., None]
+            ddelta = self._planes(dq, ts, theta, momentum=False)
+            dJ = -2.0 * self._plane_area(ts, theta, self.q, dq)[..., None]
+        else:
+            tB, z, s, e = self._factors(t)
+            delta = self._spread(s * self.q, e * self.q)
+            T = self._products(tB, z)
+            J = self._area(T)
+            ddelta = self._spread(s * dq, e * dq)
+            G = np.einsum("...vkab,...kab->...vab", self._K, T)
+            Gq = np.einsum("...vab,...b->...va", G + np.swapaxes(G, -1, -2), self.q)
+            dJ = np.einsum("...va,...a->...v", Gq, dq)
+        xv = self.x0[..., h:] - 0.5 * (
+            np.einsum("...vj,...j->...v", self._CHx0, delta) + J
         )
+        x = np.concatenate([self.x0[..., :h] + delta, xv], axis=-1)
+        dI = np.einsum("...vj,...j->...v", self._CHx0, ddelta) + dJ
         return x, np.concatenate([ddelta, -0.5 * dI], axis=-1)
 
     def with_horizontal(self, PH):
@@ -315,7 +414,8 @@ class ClosedFormPath:
 
         Every eigendecomposition and kernel tensor depends only on (x0, P_V),
         so a batch of fresh horizontal momenta (leading axes broadcasting
-        against the existing batch) shares all of it.
+        against the existing batch) shares all of it; on corank 1 only q
+        changes.
         """
         h, n = self.group.h, self.group.n
         PH = np.asarray(PH, dtype=float)
@@ -329,7 +429,8 @@ class ClosedFormPath:
         clone.batch = batch
         clone.P0 = P0
         clone.q = np.einsum("...ip,...i->...p", self.U, PH)
-        clone._W = clone.q[..., :, None] * clone.q[..., None, :]
+        if self.group.v > 1:
+            clone._W = clone.q[..., :, None] * clone.q[..., None, :]
         return clone
 
 

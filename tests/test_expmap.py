@@ -205,7 +205,11 @@ JET_GROUPS = [
     random_two_step(4, 3, np.random.default_rng(20091030)),
     # odd h: one frequency of every M is zero
     random_two_step(5, 3, np.random.default_rng(41)),
+    # corank 1, in canonical planes; odd h leaves a kernel plane-free
+    hn(2),
+    random_two_step(5, 1, np.random.default_rng(43)),
 ]
+JET_IDS = ["h4v3", "h5v3", "hn2", "h5v1"]
 
 
 def jet_case(g, rng, rows, scale):
@@ -215,7 +219,7 @@ def jet_case(g, rng, rows, scale):
     return x0, P0, rng.uniform(-2.0, 2.0, rows), rng.normal(size=(3, rows, g.h))
 
 
-@pytest.mark.parametrize("g", JET_GROUPS, ids=["h4v3", "h5v3"])
+@pytest.mark.parametrize("g", JET_GROUPS, ids=JET_IDS)
 def test_jet_matches_central_differences(g):
     rng = np.random.default_rng(42)
     h, eps = g.h, 1e-5
@@ -235,14 +239,68 @@ def test_jet_matches_central_differences(g):
             assert np.max(np.abs(dx[j] - fd)) <= 1e-7 * max(1.0, np.abs(dx[j]).max())
 
 
-def test_jet_rows_independent_of_batch():
-    g = JET_GROUPS[0]
+@pytest.mark.parametrize("g", JET_GROUPS, ids=JET_IDS)
+def test_jet_rows_independent_of_batch(g):
     x0, P0, t, dPH = jet_case(g, np.random.default_rng(43), 37, 1.0)
     x, dx = ClosedFormPath(group=g, x0=x0, P0=P0).jet(t, dPH)
     for i in range(37):
         xi, dxi = ClosedFormPath(group=g, x0=x0[i], P0=P0[i]).jet(t[i], dPH[:, i])
         assert np.array_equal(x[i], xi)
         assert np.array_equal(dx[:, i], dxi)
+
+
+@pytest.mark.parametrize("g1", JET_GROUPS[2:], ids=JET_IDS[2:])
+def test_corank1_planes_match_spectral_path(g1):
+    # a v = 2 group whose C^1 is g1's: with P_V = (eta, 0) its spectral path
+    # runs the geodesic that g1's plane-by-plane branch runs, and its first
+    # vertical coordinate sees C^1 alone
+    h, C1 = g1.h, g1.CH[0]
+    rng = np.random.default_rng(2009)
+    A = rng.normal(size=(h, h))
+    consts = [
+        (a + h + 1, i + 1, j + 1, C[i, j])
+        for i, j in zip(*np.triu_indices(h, k=1))
+        for a, C in enumerate([C1, A - A.T])
+    ]
+    g2 = build_group((h, 2), consts)
+    assert np.array_equal(g2.CH[0], C1)
+    for scale in [1e-6, 1e-3, 0.1, 1.0, 5.0]:
+        x0 = g2.point(rng.normal(size=(40, h + 2)))
+        P0 = rng.normal(size=(40, h + 2))
+        P0[:, h] *= scale
+        P0[:, h + 1] = 0.0
+        t = rng.uniform(-3.0, 3.0, 40)
+        x2, p2 = ClosedFormPath(group=g2, x0=x0, P0=P0).point(t, return_momentum=True)
+        x1, p1 = ClosedFormPath(group=g1, x0=x0[:, : h + 1], P0=P0[:, : h + 1]).point(
+            t, return_momentum=True
+        )
+        for a, b in [(x1[:, :h], x2[:, :h]), (p1[:, :h], p2[:, :h]), (x1[:, h], x2[:, h])]:
+            assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("g", JET_GROUPS, ids=JET_IDS)
+def test_with_horizontal_matches_a_fresh_build(g):
+    rng = np.random.default_rng(45)
+    x0, P0, t, _ = jet_case(g, rng, 5, 1.0)
+    PH = rng.normal(size=(5, g.h))
+    got = ClosedFormPath(group=g, x0=x0, P0=P0).with_horizontal(PH).point(t)
+    P0[:, : g.h] = PH
+    want = ClosedFormPath(group=g, x0=x0, P0=P0).point(t)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_corank1_needs_no_product_integrals(monkeypatch):
+    def refuse(za, zb):
+        raise AssertionError("product integral on corank 1")
+
+    for name in ["t1", "t2", "t3", "t4"]:
+        monkeypatch.setattr(_trig, name, refuse)
+    g = hn(2)
+    x0, P0, t, dPH = jet_case(g, np.random.default_rng(44), 8, 1.0)
+    path = ClosedFormPath(group=g, x0=x0, P0=P0)
+    x, dx = path.jet(t, dPH)
+    assert np.array_equal(x, path.point(t))
+    assert dx.shape == (3, 8, g.n)
 
 
 def test_wrong_step_rejected():
