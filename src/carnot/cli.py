@@ -25,7 +25,7 @@ from .distance import (
     gauss_system_integrate,
     sphere_sample,
 )
-from .errors import CarnotError, NoConvergence
+from .errors import CarnotError, NoConvergence, NonFiniteState
 from .expmap import ClosedFormPath
 from .geodesics import GeodesicTrace, integrate_normal, integrate_stepwise
 from .groups import engel, h1, hn, load_group
@@ -182,6 +182,8 @@ def _jsonable(obj):
 
 
 def _emit_trace(trace, args):
+    if not (np.all(np.isfinite(trace.xs)) and np.all(np.isfinite(trace.ps))):
+        raise NonFiniteState("the trace has non-finite samples")
     _emit(
         trace.as_json() + "\n" if args.format == "json" else trace.as_table(),
         args.out,
@@ -385,6 +387,8 @@ def cmd_surface_normals(args):
 def cmd_surface_metric_normal(args):
     group, field = _surface_setup(args)
     y = _parse_vector(args.at, group.n, "--at")
+    if args.samples < 2:
+        raise ConfigError("need samples >= 2")
     trace = metric_normal(
         group,
         field,

@@ -140,9 +140,10 @@ MAX_ITER = 200
 # max(1, |z|)
 PLATEAU_ITER = 60
 PLATEAU_TOL = 1e-4
-# the careful second pass of the module docstring: step of its central
-# differences relative to max(1, |Q_V|); probe of the geodesic acceleration
-# and the largest |a| / |delta| it is taken at, over 2
+# step of the central differences in the vertical covector, relative to
+# max(1, |Q_V|), of the careful second pass of the module docstring and of
+# the conjugate scan; probe of the careful pass's geodesic acceleration and
+# the largest |a| / |delta| it is taken at, over 2
 CENTRAL_STEP = 6e-6
 ACCEL_PROBE = 0.1
 ACCEL_RATIO = 0.75
@@ -155,8 +156,6 @@ TOP_REL = 1e-12
 # a root is dropped only for a conjugate time before (1 - CONJ_MARGIN) T,
 # so a minimizer that is conjugate exactly at its endpoint is kept
 CONJ_MARGIN = 1e-3
-# relative momentum step of the central-difference exponential Jacobian
-JAC_STEP = 1e-5
 # scan samples of the conjugate-time search
 CONJ_SAMPLES = 400
 # sub-intervals per bracket in each round of the conjugate-time refinement
@@ -350,27 +349,33 @@ def _start_grid(group, targets, starts):
     return w0, eta0, T0
 
 
-def _jet_columns(group, Q, central):
-    """The endpoints exp(Q)(1) and the Jacobian in Q, from one jet of one
-    build.
+def _exp_jacobian(group, x0, P, t, central):
+    """x(t) = exp(P)(t) from x0 and its Jacobian J[..., r, i] = dx_r / dP_i,
+    of shapes B + (n,) and B + (n, n), from one jet of one build.
 
-    The build stacks Q over its copies perturbed in Q_V, v of them for
-    forward differences with step 1e-6 max(1, |Q_V|), 2v for central ones
-    with step CENTRAL_STEP max(1, |Q_V|). Row 0 gives the endpoints and the
-    h exact horizontal columns, a jet at time 1 along the unit vectors e_i.
+    The build stacks P over its copies perturbed in P_V on a new leading
+    batch axis, v of them for forward differences with step
+    1e-6 max(1, |P_V|), 2v for central ones with step CENTRAL_STEP
+    max(1, |P_V|). Its jet along the unit vectors e_i gives x(t) and the h
+    exact horizontal columns. t broadcasts against the batch of P.
     """
-    h, v, n = group.h, group.v, group.n
+    h, v = group.h, group.v
+    # t's axes beyond P's batch go between the stacked copies and P's batch
+    lead = max(np.ndim(t) - P.ndim + 1, 0)
     signs = np.array([1.0, -1.0] if central else [1.0])
-    se = (CENTRAL_STEP if central else 1e-6) * np.maximum(1.0, np.abs(Q[:, h:]))
-    Qe = np.broadcast_to(Q, (1 + signs.size * v,) + Q.shape).copy()
+    se = (CENTRAL_STEP if central else 1e-6) * np.maximum(1.0, np.abs(P[..., h:]))
+    Pe = np.broadcast_to(P, (1 + signs.size * v,) + P.shape).copy()
+    shifts = np.multiply.outer(signs, se)
     for a in range(v):
-        Qe[1 + a :: v, :, h + a] += signs[:, None] * se[:, a]
-    pts, dH = ClosedFormPath(group=group, x0=np.zeros(n), P0=Qe).jet(
-        1.0, np.eye(h)[:, None, None]
+        Pe[1 + a :: v, ..., h + a] += shifts[..., a]
+    Pe = Pe.reshape(Pe.shape[:1] + (1,) * lead + P.shape)
+    pts, dH = ClosedFormPath(group=group, x0=x0, P0=Pe).jet(
+        t, np.eye(h).reshape((h,) + (1,) * (Pe.ndim - 1) + (h,))
     )
     diff = pts[1 : 1 + v] - (pts[1 + v :] if central else pts[0])
-    JV = diff / (signs.size * se.T[:, :, None])
-    return pts[0], np.moveaxis(np.concatenate([dH[:, 0], JV]), 0, 2)
+    J = np.moveaxis(np.concatenate([dH[:, 0], diff]), 0, -1)
+    J[..., h:] /= signs.size * se[..., None, :]
+    return pts[0], J
 
 
 def _careful_step(group, J, x, y, lam, Q):
@@ -418,14 +423,14 @@ def _shoot(group, targets, starts, max_iter, careful=False):
     root the other open tracks of its target stop where they are,
     unconverged, as do tracks still on a plateau after PLATEAU_ITER
     iterations of their own. Each evaluation (a track's first, and every
-    candidate) is one build of 1 + v covectors, the point and its copies
-    perturbed in Q_V, whose jet gives the endpoint and all Jacobian columns
-    (``_jet_columns``). ``careful`` takes the second pass's step
-    (``_careful_step``, central differences in Q_V from builds of 1 + 2v
-    covectors, the damping floor at 1e-20) in place of the normal
-    equations. Returns per-track arrays of shape (m, starts): unit
-    directions Q_H / |Q_H|, covectors Q_V / |Q_H|, times |Q_H|, residual
-    norms (inf where a track never opened) and convergence flags.
+    candidate) is one ``_exp_jacobian`` at time 1 from the origin, one build
+    of 1 + v covectors whose jet gives the endpoint and all Jacobian
+    columns. ``careful`` takes the second pass's step (``_careful_step``,
+    central differences in Q_V from builds of 1 + 2v covectors, the damping
+    floor at 1e-20) in place of the normal equations. Returns per-track
+    arrays of shape (m, starts): unit directions Q_H / |Q_H|, covectors
+    Q_V / |Q_H|, times |Q_H|, residual norms (inf where a track never
+    opened) and convergence flags.
     """
     h, v, n = group.h, group.v, group.n
     m = targets.shape[0]
@@ -453,7 +458,7 @@ def _shoot(group, targets, starts, max_iter, careful=False):
     while True:
         if wake.any():
             o = np.nonzero(wake)[0]
-            x[o], Jac[o] = _jet_columns(group, Q[o], careful)
+            x[o], Jac[o] = _exp_jacobian(group, np.zeros(n), Q[o], 1.0, careful)
             fn[o] = np.linalg.norm(x[o] - y[o], axis=1)
             opened[o] = True
             new = wake & (fn <= track_tol)
@@ -487,7 +492,7 @@ def _shoot(group, targets, starts, max_iter, careful=False):
 
         Qc = Qa + delta
         # the candidate's build is the next iteration's base if it is accepted
-        xc, Jc = _jet_columns(group, Qc, careful)
+        xc, Jc = _exp_jacobian(group, np.zeros(n), Qc, 1.0, careful)
         fnc = np.linalg.norm(xc - ya, axis=1)
         better = np.isfinite(fnc) & (fnc < fna)
 
@@ -980,17 +985,6 @@ def sphere_sample(
     )
 
 
-def _exp_jacobian_det(group, x0, P0, ts):
-    """det of the finite-difference momentum Jacobian of exp at times ts."""
-    n = group.n
-    steps = JAC_STEP * np.maximum(1.0, np.abs(P0))
-    pert = np.concatenate([np.diag(steps), -np.diag(steps)]) + P0
-    path = ClosedFormPath(group=group, x0=x0, P0=pert)
-    pts = path.point(ts[..., None])
-    J = (pts[..., :n, :] - pts[..., n:, :]) / (2.0 * steps[:, None])
-    return np.linalg.det(np.swapaxes(J, -1, -2))
-
-
 def _conjugate_brackets(group, x0, P0, t_max, samples):
     """One scan of det at ``samples`` times: (lo, hi, n_cross, ref).
 
@@ -998,7 +992,7 @@ def _conjugate_brackets(group, x0, P0, t_max, samples):
     minimum of |det| below 1e-4 of ref, its largest within 25 samples.
     """
     ts = np.linspace(0.0, float(t_max), int(samples) + 1)[1:]
-    det = _exp_jacobian_det(group, x0, P0, ts)
+    det = np.linalg.det(_exp_jacobian(group, x0, P0, ts, True)[1])
     sign, mag = np.sign(det), np.abs(det)
     cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     ref = np.array([mag[max(0, i - 25) : i + 26].max() for i in range(mag.size)])
@@ -1017,7 +1011,7 @@ def _conjugate_roots(group, x0, P0, lo, hi, n_cross, ref):
         if act.size == 0:
             break
         t = lo[act, None] + (hi - lo)[act, None] * frac
-        d = _exp_jacobian_det(group, x0, P0, t)
+        d = np.linalg.det(_exp_jacobian(group, x0, P0, t, True)[1])
         # a sign change lies before the first sample off the left end's side
         j = np.argmax(np.sign(d[:, 1:]) * np.sign(d[:, :1]) <= 0.0, axis=1)
         # a dip's minimum lies within one sample of its smallest sample
@@ -1030,16 +1024,18 @@ def _conjugate_roots(group, x0, P0, lo, hi, n_cross, ref):
     mid = 0.5 * (lo + hi)
     dips = mid[n_cross:]
     if dips.size:
-        dips = dips[np.abs(_exp_jacobian_det(group, x0, P0, dips)) < 1e-8 * ref]
+        d = np.linalg.det(_exp_jacobian(group, x0, P0, dips, True)[1])
+        dips = dips[np.abs(d) < 1e-8 * ref]
     return np.concatenate([mid[:n_cross], dips])
 
 
 def conjugate_detect(group, x0, P0, t_max, samples=CONJ_SAMPLES):
     """Times in (0, t_max] where the exponential's Jacobian degenerates.
 
-    One scan of the finite-difference Jacobian determinant at ``samples``
-    uniform times brackets two kinds of candidate: sign changes, and
-    sign-preserving near-zeros (even-order crossings), caught as local
+    The determinant is that of ``_exp_jacobian`` (central in P_V), one
+    build of 1 + 2v covectors at any number of times. One scan of it at
+    ``samples`` uniform times brackets two kinds of candidate: sign changes,
+    and sign-preserving near-zeros (even-order crossings), caught as local
     minima of |det| below 1e-4 of the largest |det| within 25 samples on
     either side. All brackets then shrink together to rounding width: each
     round evaluates the determinant once, on REFINE_SPLIT sub-intervals of

@@ -93,25 +93,28 @@ def normal_rhs(group: CarnotGroup, x, P):
     return dx, dP
 
 
-def _rk4(rhs, y0, T, steps):
-    """Fixed-step RK4 storing every node; y may have any shape."""
+def _rk4(rhs, y0, times):
+    """Fixed-step RK4 on the uniform grid ``times``, storing every node; y
+    may have any shape. ``rhs(y, s)`` also gets the stage's index s on the
+    half-step grid: 2i at node i, 2i + 1 at the midpoint after it."""
+    steps = len(times) - 1
     if steps < 1:
         raise TooFewSamples("integration needs at least one step")
-    dt = T / steps
+    dt = float(times[1] - times[0])
     ys = np.empty((steps + 1,) + y0.shape)
     ys[0] = y0
     y = y0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
+            k1 = rhs(y, 2 * i)
+            k2 = rhs(y + 0.5 * dt * k1, 2 * i + 1)
+            k3 = rhs(y + 0.5 * dt * k2, 2 * i + 1)
+            k4 = rhs(y + dt * k3, 2 * i + 2)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             ys[i + 1] = y
     if not np.all(np.isfinite(ys[-1])):
         raise NonFiniteState("integration produced non-finite values")
-    return np.linspace(0.0, T, steps + 1), ys
+    return ys
 
 
 def _conservation_meta(group: CarnotGroup, times, xs, ps) -> dict:
@@ -149,11 +152,12 @@ def integrate_normal(
         [np.broadcast_to(x0, shape), np.broadcast_to(P0, shape)], axis=-2
     )
 
-    def rhs(y):
+    def rhs(y, _):
         dx, dP = normal_rhs(group, y[..., 0, :], y[..., 1, :])
         return np.stack([dx, dP], axis=-2)
 
-    times, ys = _rk4(rhs, y0, float(T), int(steps))
+    times = np.linspace(0.0, float(T), max(int(steps), 0) + 1)
+    ys = _rk4(rhs, y0, times)
     xs = ys[..., 0, :]
     ps = ys[..., 1, :]
     meta = {
@@ -193,13 +197,14 @@ def integrate_stepwise(
         P[..., lo:hi] -= np.einsum("...ij,...j->...i", Ctop, x - x0)
         return P
 
-    def rhs(y):
+    def rhs(y, _):
         x = y[..., :n]
         dx, dP = normal_rhs(group, x, momentum(x, y[..., n:]))
         return np.concatenate([dx, dP[..., :lo]], axis=-1)
 
     y0 = np.concatenate([x0, P0[..., :lo]], axis=-1)
-    times, ys = _rk4(rhs, y0, float(T), int(steps))
+    times = np.linspace(0.0, float(T), max(int(steps), 0) + 1)
+    ys = _rk4(rhs, y0, times)
     xs = ys[..., :n]
     ps = momentum(xs, ys[..., n:])
     meta = {

@@ -36,7 +36,7 @@ from .errors import (
     NotUnitSpeed,
     TooFewSamples,
 )
-from .geodesics import GeodesicTrace, integrate_normal
+from .geodesics import GeodesicTrace, _rk4, integrate_normal
 from .groups import CarnotGroup, c_operator, frame_apply, frame_solve
 
 # FD-velocity unit-speed gate is loose: second differences of sampled
@@ -470,14 +470,17 @@ def jacobi_residual(
     return FieldAlongCurve(trace.times, res)
 
 
-def _half_samples(a: np.ndarray) -> np.ndarray:
-    """Midpoint values of uniformly sampled smooth data, cubic accuracy."""
+def _half_step_grid(a: np.ndarray) -> np.ndarray:
+    """Uniformly sampled smooth data on the half-step grid: sample i at 2i,
+    the midpoint after it at 2i + 1, from cubic interpolation."""
     m = a.shape[0]
-    mid = np.empty((m - 1,) + a.shape[1:])
+    out = np.empty((2 * m - 1,) + a.shape[1:])
+    out[0::2] = a
+    mid = out[1::2]
     mid[1:-1] = (-a[0 : m - 3] + 9.0 * a[1 : m - 2] + 9.0 * a[2 : m - 1] - a[3:m]) / 16.0
     mid[0] = (5.0 * a[0] + 15.0 * a[1] - 5.0 * a[2] + a[3]) / 16.0
     mid[-1] = (a[m - 4] - 5.0 * a[m - 3] + 15.0 * a[m - 2] + 5.0 * a[m - 1]) / 16.0
-    return mid
+    return out
 
 
 def integrate_jacobi(
@@ -495,53 +498,40 @@ def integrate_jacobi(
     transport equation, dZ_V/dt = [Z, P_H]_V + [Y, dP_H/dt]_V, so initial
     data with Z_V(0) = [Y(0), P_H(0)]_V reproduce fields of actual geodesic
     variations and arbitrary initial data still give a well-posed linear
-    flow of dimension 2n.  RK4 on the trace's grid; coefficients at half
-    steps come from cubic interpolation of the momenta, keeping the
-    classical order.  The meta carries Z as ``derivative`` and the vertical
-    transport defect Z_V - [Y, P_H]_V as ``constraint_defect`` (with its
-    maximum ``constraint_defect_sup``), monitored rather than enforced.
+    flow of dimension 2n.  The normal flow's RK4 stepper (``_rk4``) runs
+    on the trace's grid, with the coefficients built once on its half-step
+    grid (midpoints from cubic interpolation of the momenta, keeping the
+    classical order); a field that overflows raises ``NonFiniteState``.
+    The meta carries Z as ``derivative`` and the vertical transport defect
+    Z_V - [Y, P_H]_V as ``constraint_defect`` (with its maximum
+    ``constraint_defect_sup``), monitored rather than enforced.
     ``J0``/``J0dot`` accept leading batch axes.
     """
     g = group
     times = trace.times
-    dt = _uniform_dt(times)
+    _uniform_dt(times)  # raises on a short or nonuniform grid
     h, n = g.h, g.n
     u = _momentum_velocity(trace, h)
     pv = np.asarray(trace.ps[:, h:], dtype=float)
 
-    conn = connection_data(g)
-
-    def per_sample(u, pv):
-        c = _jacobi_coefficients(g, conn, u, pv)
-        return [dict(zip(c, row)) for row in zip(*c.values())]
-
-    on_grid = per_sample(u, pv)
-    on_half = per_sample(_half_samples(u), _half_samples(pv))
+    c = _jacobi_coefficients(
+        g, connection_data(g), _half_step_grid(u), _half_step_grid(pv)
+    )
+    # one dict per sample, so that a stage only looks its coefficients up
+    rows = [dict(zip(c, row)) for row in zip(*c.values())]
 
     J0 = np.asarray(J0, dtype=float)
     J0dot = np.asarray(J0dot, dtype=float)
     if J0.shape[-1] != n or J0dot.shape[-1] != n:
         raise ValueError(f"initial data must have {n} frame components")
     shape = np.broadcast_shapes(J0.shape, J0dot.shape)
-    Y = np.broadcast_to(J0, shape).astype(float)
-    Z = np.broadcast_to(J0dot, shape).astype(float)
+    y0 = np.stack([np.broadcast_to(J0, shape), np.broadcast_to(J0dot, shape)])
 
-    def rhs(c, Y, Z):
-        return Z, _jacobi_rhs(g, c, Y, Z)
+    def rhs(y, s):
+        return np.concatenate([y[1:], _jacobi_rhs(g, rows[s], y[0], y[1])[None]])
 
-    m = len(times)
-    Ys = np.empty((m,) + shape)
-    Zs = np.empty((m,) + shape)
-    Ys[0], Zs[0] = Y, Z
-    for i in range(m - 1):
-        k1y, k1z = rhs(on_grid[i], Y, Z)
-        k2y, k2z = rhs(on_half[i], Y + 0.5 * dt * k1y, Z + 0.5 * dt * k1z)
-        k3y, k3z = rhs(on_half[i], Y + 0.5 * dt * k2y, Z + 0.5 * dt * k2z)
-        k4y, k4z = rhs(on_grid[i + 1], Y + dt * k3y, Z + dt * k3z)
-        Y = Y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        Z = Z + dt / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        Ys[i + 1], Zs[i + 1] = Y, Z
-
+    ys = _rk4(rhs, y0, times)
+    Ys, Zs = ys[:, 0], ys[:, 1]
     br = np.einsum("rij,m...i,mj->m...r", g.C, Ys, u)
     defect = (Zs - br)[..., h:]
     meta = {

@@ -127,6 +127,8 @@ def test_out_of_range_values_exit_2(capsys):
         (conjugate + ["--t-max", "0"], "t_max"),
         (["sphere", "--group", "h1", "--center", "0,0,0", "--radius", "0"],
          "radius"),
+        (["surface", "metric-normal", "--group", "h1", "--f", "x1",
+          "--at", "0,0,0", "--samples", "-2"], "samples"),
     ):
         code, out, err = run(capsys, *argv)
         assert_config_error(code, out, err)
@@ -276,6 +278,26 @@ def test_surface_metric_normal_trace(capsys):
     lines = out.strip().split("\n")
     last = [float(w) for w in lines[-1].split()]
     np.testing.assert_allclose(last[:4], [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_trace_exits_3(capsys):
+    # the closed form's area term overflows at |P_H| = 1e200
+    code, out, err = run(
+        capsys, "exp", "--group", "h1", "--x0", "0,0,0", "--p0", "1e200,0,1",
+        "--T", "1", "--samples", "3",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("NonFiniteState:")
+
+
+def test_jacobi_overflow_exits_3(capsys):
+    code, out, err = run(
+        capsys, "jacobi", "--group", "h1", "--x0", "0,0,0", "--p0", "1,0,1",
+        "--y0", "1e308,0,0", "--ydot0", "1e308,1e308,0", "--steps", "10",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("NonFiniteState:") and err.count("\n") == 1
 
 
 def test_surface_parser_rejects_degree_4(capsys):

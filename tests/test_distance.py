@@ -278,7 +278,7 @@ def test_one_build_gives_the_endpoint_and_every_column():
         return distance.ClosedFormPath(group=g, x0=x0, P0=P).point(1.0)
 
     for central in (False, True):
-        xj, J = distance._jet_columns(g, Q, central)
+        xj, J = distance._exp_jacobian(g, x0, Q, 1.0, central)
         assert np.array_equal(xj, x)
         assert np.array_equal(J[:, :, :h], np.moveaxis(dH, 0, 2))
         step = distance.CENTRAL_STEP if central else 1e-6
@@ -289,6 +289,45 @@ def test_one_build_gives_the_endpoint_and_every_column():
             else:
                 col = (shifted(a, se[:, a]) - x) / se[:, a, None]
             assert np.array_equal(J[:, :, h + a], col)
+
+
+@pytest.mark.parametrize(
+    "g", [hn(2), random_two_step(4, 3, np.random.default_rng(31))], ids=["hn2", "h4v3"]
+)
+def test_exp_jacobian_matches_richardson_and_left_invariance(g):
+    # away from the origin and on a 2-D grid of times (one column per
+    # covector): the horizontal columns are exact, the vertical ones carry
+    # their difference's own error, and left translation keeps det
+    h, n = g.h, g.n
+    rng = np.random.default_rng(32)
+    P = rng.normal(size=(3, n))
+    P[:, :h] /= np.linalg.norm(P[:, :h], axis=1, keepdims=True)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    t = rng.uniform(0.2, 2.5, (4, 3))
+
+    def central(i, step):
+        s = step * np.maximum(1.0, np.abs(P[:, i]))
+        Pp, Pm = P.copy(), P.copy()
+        Pp[:, i] += s
+        Pm[:, i] -= s
+        plus = distance.ClosedFormPath(group=g, x0=x0, P0=Pp).point(t)
+        minus = distance.ClosedFormPath(group=g, x0=x0, P0=Pm).point(t)
+        return (plus - minus) / (2.0 * s[:, None])
+
+    ref = np.stack(
+        [(4.0 * central(i, 5e-4) - central(i, 1e-3)) / 3.0 for i in range(n)], axis=-1
+    )
+    scale = np.abs(ref).max()
+    for is_central, tol_v in ((False, 1e-5), (True, 1e-9)):
+        x, J = distance._exp_jacobian(g, x0, P, t, is_central)
+        assert np.array_equal(x, distance.ClosedFormPath(group=g, x0=x0, P0=P).point(t))
+        assert np.abs(J[..., :h] - ref[..., :h]).max() < 1e-7 * scale
+        assert np.abs(J[..., h:] - ref[..., h:]).max() < tol_v * scale
+    # the central differences alone put det within about 1.2e-9 of max |det|
+    # of the Richardson one on h4v3
+    det = np.linalg.det(J)
+    det0 = np.linalg.det(distance._exp_jacobian(g, np.zeros(n), P, t, True)[1])
+    assert np.abs(det - det0).max() < 1e-8 * np.abs(det0).max()
 
 
 def test_careful_shooting_builds_one_plus_two_v_covectors(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 from carnot.errors import (
     EndpointViolation,
     GridMismatch,
+    NonFiniteState,
     NotUnitSpeed,
     TooFewSamples,
 )
@@ -576,6 +577,9 @@ def test_integrate_jacobi_gates():
     tr = integrate_normal(g, np.zeros(3), np.array([1.0, 0.0, 1.0]), 1.0, 300)
     with pytest.raises(ValueError):
         integrate_jacobi(g, tr, np.zeros(2), np.ones(2))
+    # a field that overflows raises as the normal flow does
+    with pytest.raises(NonFiniteState):
+        integrate_jacobi(g, tr, np.array([1e308, 0.0, 0.0]), np.zeros(3))
 
 
 def test_integrate_jacobi_constraint_monitor():
