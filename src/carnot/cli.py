@@ -220,7 +220,9 @@ def cmd_exp(args):
         raise ConfigError("need T > 0 and samples >= 2")
     path = ClosedFormPath(group=group, x0=x0, P0=P0)
     times = np.linspace(0.0, args.T, args.samples)
-    xs, ps = path.point(times, return_momentum=True)
+    # overflow shows up as non-finite samples, which _emit_trace rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ps = path.point(times, return_momentum=True)
     meta = {"group": group.name, "method": "closed-form"}
     _emit_trace(GeodesicTrace(times, xs, ps, meta, group=group), args)
     return 0
@@ -389,14 +391,15 @@ def cmd_surface_metric_normal(args):
     y = _parse_vector(args.at, group.n, "--at")
     if args.samples < 2:
         raise ConfigError("need samples >= 2")
-    trace = metric_normal(
-        group,
-        field,
-        y,
-        t_range=(args.t_min, args.t_max),
-        samples=args.samples,
-        sign=args.sign,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = metric_normal(
+            group,
+            field,
+            y,
+            t_range=(args.t_min, args.t_max),
+            samples=args.samples,
+            sign=args.sign,
+        )
     _emit_trace(trace, args)
     return 0
 

@@ -42,10 +42,11 @@ Q -> x(1; Q), which the shooting solver of carnot.distance inverts.
 
 On corank 1 (v = 1, every Heisenberg group) none of this is needed.
 M = eta C^1 commutes with C^1, so in the canonical basis O of C^1
-(``skew_canonical``: planes j with frequencies lambda_j, then the kernel),
-which is one per group, each plane just turns by theta_j = lambda_j eta t
-(Gaveau, Acta Math. 1977). With p = O^T P_H(0), rot_half the rotation by
-half an angle and s3(th) = (th - sin th)/th^3, both from carnot._trig,
+(``skew_canonical``: planes j with frequencies lambda_j from one eigh of the
+Hermitian matrix i C^1, then the kernel), which is one per group, each plane
+just turns by theta_j = lambda_j eta t (Gaveau, Acta Math. 1977). With
+p = O^T P_H(0), rot_half the rotation by half an angle and
+s3(th) = (th - sin th)/th^3, both from carnot._trig,
 
     x_H(t) - x_H(0) = O [t sinc(theta_j/2) rot_half(p_j, -theta_j); t p_ker]
     P_H(t)          = O [rot_half(p_j, -2 theta_j); p_ker]
@@ -80,6 +81,7 @@ __all__ = [
 ]
 
 SKEW_TOL = 1e-12
+# frequencies at most FREQ_TOL times the largest one count as kernel
 FREQ_TOL = 1e-10
 
 
@@ -118,58 +120,24 @@ class SkewCanonicalForm:
 def skew_canonical(M):
     """Orthogonally reduce a skew matrix to canonical 2x2 blocks.
 
-    Frequencies come from the symmetric matrix M^T M = -M^2; each positive
-    eigenvalue w contributes a plane spanned by (u, v = -Mu/sqrt(w)). Repeated
-    frequencies get an arbitrary orthonormal plane basis, which is fine since
-    any such choice conjugates M to the same block form.
+    iM is Hermitian, so one eigh(iM) gives the planes directly: an
+    eigenvector w of eigenvalue lambda > 0 has M w = -i lambda w, and
+    (u, v) = sqrt(2) (Re w, -Im w) spans a plane with M u = -lambda v and
+    M v = lambda u. Since conj(w) spans the eigenspace of -lambda, these
+    planes stay orthonormal when lambda repeats, and M is never squared. A
+    complete QR of the plane columns supplies the kernel as its orthogonal
+    complement; with the signs of R fixed positive it changes the planes
+    only by restoring the orthogonality of u and v that eigh leaves at
+    O(eps / lambda) when lambda is tiny beside the other eigenvalues.
     """
     M = _check_skew(M)
-    h = M.shape[0]
-    w, U = np.linalg.eigh(M.T @ M)
-    sigma = np.sqrt(np.clip(w, 0.0, None))
-    smax = float(sigma.max()) if h else 0.0
-    tol = FREQ_TOL * max(1.0, smax)
-
-    cols = []
-    pairs = []
-    for idx in np.argsort(-sigma):
-        u = U[:, idx].copy()
-        for c in cols:
-            u -= c * (c @ u)
-        nrm = np.linalg.norm(u)
-        if nrm < 0.25:
-            # direction already consumed as the partner of a previous pair
-            continue
-        u /= nrm
-        Mu = M @ u
-        lam = np.linalg.norm(Mu)
-        # eigh reports exact kernels of M^T M at ~sqrt(eps); |Mu| does not lie
-        if lam <= tol:
-            continue
-        v = -Mu / lam
-        for c in cols:
-            v -= c * (c @ v)
-        v -= u * (u @ v)
-        v /= np.linalg.norm(v)
-        cols.append(u)
-        cols.append(v)
-        pairs.append((lam, u, v))
-
-    pairs.sort(key=lambda p: -p[0])
-    cols = [c for _, u, v in pairs for c in (u, v)]
-    R = len(pairs)
-    N = h - 2 * R
-    if N > 0:
-        if cols:
-            B = np.stack(cols, axis=1)
-            P = np.eye(h) - B @ B.T
-        else:
-            P = np.eye(h)
-        Un, _, _ = np.linalg.svd(P)
-        cols.extend(Un[:, i] for i in range(N))
-    O = np.stack(cols, axis=1) if cols else np.zeros((h, 0))
-    lam_arr = np.asarray([p[0] for p in pairs], dtype=float)
-    return SkewCanonicalForm(O=O, lambdas=lam_arr, nullity=N)
+    mu, W = np.linalg.eigh(1j * M)
+    keep = mu > FREQ_TOL * np.abs(mu).max()
+    lam, W = mu[keep][::-1], W[:, keep][:, ::-1]
+    B = np.sqrt(2.0) * np.stack([W.real, -W.imag], axis=-1).reshape(M.shape[0], -1)
+    O, R = np.linalg.qr(B, mode="complete")
+    O[:, : B.shape[1]] *= np.sign(np.diag(R))
+    return SkewCanonicalForm(O=O, lambdas=lam, nullity=M.shape[0] - B.shape[1])
 
 
 @functools.lru_cache(maxsize=64)

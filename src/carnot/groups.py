@@ -152,14 +152,6 @@ class CarnotGroup:
     def step(self) -> int:
         return self.growth.step
 
-    def horizontal(self, x: np.ndarray) -> np.ndarray:
-        """First-layer components of a point/covector array (..., n)."""
-        return np.asarray(x)[..., : self.h]
-
-    def vertical(self, x: np.ndarray) -> np.ndarray:
-        """Components above the first layer, shape (..., v)."""
-        return np.asarray(x)[..., self.h :]
-
     def point(self, seq) -> np.ndarray:
         x = np.asarray(seq, dtype=float)
         if x.shape[-1] != self.n:

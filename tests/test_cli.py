@@ -280,15 +280,37 @@ def test_surface_metric_normal_trace(capsys):
     np.testing.assert_allclose(last[:4], [1.0, 1.0, 0.0, 0.0], atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_trace_exits_3(capsys):
-    # the closed form's area term overflows at |P_H| = 1e200
+    # the closed form's area term overflows at |P_H| = 1e200, its turns at
+    # eta T = 1e310; either way one line on stderr and no numpy warning
+    for p0, T in (("1e200,0,1", "1"), ("1,0,1e300", "1e10")):
+        code, out, err = run(
+            capsys, "exp", "--group", "h1", "--x0", "0,0,0", "--p0", p0,
+            "--T", T, "--samples", "3",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("NonFiniteState:") and err.count("\n") == 1
+
+
+def test_exp_tiny_frequency_beside_kernel(capsys, tmp_path):
+    # corank 1, h = 5: frequencies 1 and about 1.9e-7 beside a kernel
+    rng = np.random.default_rng(0)
+    lam2 = 10 ** rng.uniform(-8, -6)
+    B = np.zeros((5, 5))
+    B[0, 1], B[1, 0], B[2, 3], B[3, 2] = 1.0, -1.0, lam2, -lam2
+    Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    C1 = Q @ B @ Q.T
+    C1 = 0.5 * (C1 - C1.T)
+    consts = [[6, i + 1, j + 1, C1[i, j]] for i in range(5) for j in range(i + 1, 5)]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"growth": [5, 1], "constants": consts}))
     code, out, err = run(
-        capsys, "exp", "--group", "h1", "--x0", "0,0,0", "--p0", "1e200,0,1",
-        "--T", "1", "--samples", "3",
+        capsys, "exp", "--group", str(path), "--x0", "0,0,0,0,0,0",
+        "--p0", "0.6,0,0.8,0,0,2", "--T", "1.5", "--samples", "3",
     )
-    assert code == 3 and out == ""
-    assert err.startswith("NonFiniteState:")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) > 3
 
 
 def test_jacobi_overflow_exits_3(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from carnot import _trig
+from carnot.distance import distance_point
 from carnot.errors import NotSkew, WrongStep
 from carnot.expmap import ClosedFormPath, exp_sr_2step, skew_canonical
 from carnot.geodesics import integrate_normal
@@ -356,6 +357,53 @@ def test_skew_canonical_degenerate_and_zero():
 
     with pytest.raises(NotSkew):
         skew_canonical(np.eye(2))
+
+
+def planes_and_kernel(lams, rng):
+    """A random rotation of canonical blocks lams, padded with one kernel
+    direction, skew-symmetrized."""
+    h = 2 * len(lams) + 1
+    B = np.zeros((h, h))
+    for j, lam in enumerate(lams):
+        B[2 * j, 2 * j + 1], B[2 * j + 1, 2 * j] = lam, -lam
+    Q, _ = np.linalg.qr(rng.normal(size=(h, h)))
+    M = Q @ B @ Q.T
+    return 0.5 * (M - M.T)
+
+
+def test_skew_canonical_tiny_frequency_beside_kernel():
+    # a plane turning 1e9 times slower than its neighbour still counts as a
+    # plane, and the kernel stays one direction
+    rng = np.random.default_rng(3)
+    for lam2 in [1e-9, 1e-7, 1e-5, 1e-2]:
+        for _ in range(50):
+            M = planes_and_kernel([1.0, lam2], rng)
+            form = skew_canonical(M)
+            assert form.nullity == 1 and form.O.shape == (5, 5)
+            assert abs(form.lambdas[1] / lam2 - 1.0) < 1e-5
+            assert np.max(np.abs(form.O.T @ form.O - np.eye(5))) <= 1e-14
+            dev = np.max(np.abs(form.O.T @ M @ form.O - blocks(form)))
+            assert dev <= 1e-14 * np.max(np.abs(M))
+
+
+def tiny_frequency_group():
+    """Corank 1, h = 5: frequencies 1 and about 1.9e-7 beside a kernel."""
+    rng = np.random.default_rng(0)
+    lam2 = 10 ** rng.uniform(-8, -6)
+    C1 = planes_and_kernel([1.0, lam2], rng)
+    consts = [(6, i + 1, j + 1, C1[i, j]) for i in range(5) for j in range(i + 1, 5)]
+    return build_group((5, 1), consts)
+
+
+def test_tiny_frequency_group_exp_and_distance():
+    g = tiny_frequency_group()
+    x0 = np.zeros(g.n)
+    P0 = np.array([0.6, 0.0, 0.8, 0.0, 0.0, 2.0])
+    trace = integrate_normal(g, x0, P0, 1.5, steps=3000)
+    y = exp_sr_2step(g, x0, P0, 1.5)
+    assert np.max(np.abs(trace.xs[-1] - y)) < 1e-12
+    # the fast plane turns by 3 < 2 pi, so the planted curve is the minimizer
+    assert abs(distance_point(g, x0, y).T - 1.5) < 1e-9
 
 
 def test_vertical_increment_closed_form():
