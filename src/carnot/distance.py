@@ -125,7 +125,6 @@ __all__ = [
     "distance_point",
     "distance_batch",
     "distance_lower_bound",
-    "horizontal_distance_gradient",
     "sphere_sample",
     "conjugate_detect",
 ]
@@ -848,27 +847,6 @@ def distance_lower_bound(group, x0, targets):
     scales = _top_frequency(group, np.eye(group.v))
     vert = 2.0 * np.sqrt(np.abs(reduced[:, h:]) / scales).max(axis=1)
     return np.maximum(np.linalg.norm(reduced[:, :h], axis=1), vert)
-
-
-def horizontal_distance_gradient(group, x0, points, **solver):
-    """Frame components of grad_H d(x0, .) at points off the cut locus.
-
-    There the gradient is the horizontal arrival momentum of the unique
-    minimizer, so one batched solve gives it; it has unit norm.
-    """
-    require_step2(group, "distance gradient")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    batch = distance_batch(group, x0, points, **solver)
-    if not batch.converged.all():
-        bad = int(np.argmin(batch.converged))
-        raise NoConvergence(
-            "distance solve failed at point %d; best residual %.3e"
-            % (bad, batch.residual[bad])
-        )
-    _, arrival = exp_sr_2step(
-        group, np.zeros(group.n), batch.P0, batch.T, return_momentum=True
-    )
-    return arrival[:, : group.h]
 
 
 @dataclass

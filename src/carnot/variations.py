@@ -218,6 +218,8 @@ def _fd_speed_gate(u: np.ndarray, h: int):
 
 def _momentum_velocity(trace: GeodesicTrace, h: int) -> np.ndarray:
     """Frame velocity of a normal geodesic read off its momenta."""
+    if trace.ps.ndim != 2:
+        raise ValueError("the Jacobi system needs an unbatched trace")
     u = np.array(trace.ps, dtype=float)
     u[:, h:] = 0.0
     speed = np.linalg.norm(u[:, :h], axis=1)
@@ -339,8 +341,9 @@ def second_variation_check(
         lower = _action(g, times, xs - s * push, pv - s * q, dt)
         return formula, (upper - 2.0 * mid + lower) / (s * s)
 
-    # The Jacobi operator of jacobi_residual, transport defect in the
-    # vertical rows.  bruY = [u, Y].
+    # jacobi_residual applies the Jacobi generator on the sample grid:
+    # Y'' - K_Y Y - K_Z Y' in the horizontal rows, the transport defect in
+    # the vertical rows.  bruY = [u, Y].
     yexpr = jacobi_residual(g, trace, Y).components
     bruY = np.einsum("rij,mi,mj->mr", g.C, u, Y)
     integrand = np.sum(q * (covY + bruY)[:, h:], axis=1) - np.sum(
@@ -382,62 +385,46 @@ def _second_derivative(dt: float, Y: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _jacobi_coefficients(group: CarnotGroup, conn: ConnectionData, u, pv) -> dict:
-    """Coefficients of the Jacobi system at velocity samples u, multipliers pv.
+def _jacobi_generator(group: CarnotGroup, u, pv) -> np.ndarray:
+    """Generator G = [[0, I], [K_Y, K_Z]] of the Jacobi system, d/dt (Y, Z)
+    = G (Y, Z) with Z = dY/dt, at velocity samples u and multipliers pv.
 
-    A is the Christoffel contraction of the velocity, Adot its derivative
-    through du/dt = -C(P_V) u, B the curvature contracted twice with u and
-    M = C_H(P_V).  Leading sample axes of u and pv carry through.
+    Horizontal rows solve nabla_t^2 Y + R(P_H, Y) P_H + C(P_V) nabla_t Y
+    - (1/2)[C_H(P_V), C_H(Y_V)] P_H = 0 for Y'', with the second covariant
+    derivative expanded as Y'' + A'Y + 2AY' + A(AY): A is the Christoffel
+    contraction of the velocity, A' its derivative through du/dt = -C(P_V) u,
+    B the curvature contracted twice with u, so K_Y = -(A' + A^2 + B + C(P_V)
+    A) and K_Z = -(2A + C(P_V)).  Vertical rows are the derivative of the
+    transport equation, [Z, P_H]_V + [Y, dP_H/dt]_V, so the vertical rows of
+    K_Z are the transport bracket [., u]_V.  Leading sample axes of u and pv
+    carry through.
     """
-    h = group.h
+    h, n = group.h, group.n
     v2 = group.CH.shape[0]
-    CP = np.einsum("vij,...v->...ij", group.C[h:], pv)
+    conn = connection_data(group)
+    CP = np.einsum("vij,...v->...ij", group.CV, pv)
     ud = -np.einsum("...ij,...j->...i", CP, u)
     A = np.einsum("ijk,...k->...ij", conn.gamma, u)
     Adot = np.einsum("ijk,...k->...ij", conn.gamma, ud)
     B = np.einsum("...i,...k,ijkl->...lj", u, u, conn.curvature)
+    # (1/2)[C_H(P_V), C_H(Y_V)] P_H = (1/2)(M S_u - S_Mu) Y_V, where column a
+    # of S_w is C^a_H w and M = C_H(P_V): the pairing z -> C_H(z) is not
+    # parallel for Levi-Civita, so differentiating C(P_V) along a variation
+    # leaves this commutator behind; it vanishes when the second layer is
+    # one dimensional (the two matrices are then proportional)
     M = np.einsum("vij,...v->...ij", group.CH, pv[..., :v2])
-    return {"u": u, "ud": ud, "A": A, "Adot": Adot, "CP": CP, "B": B, "M": M}
-
-
-def _jacobi_rhs(group: CarnotGroup, c: dict, Y, Z) -> np.ndarray:
-    """d^2Y/dt^2 of the Jacobi system at state (Y, Z = dY/dt).
-
-    Horizontal rows solve nabla_t^2 Y + R(P_H, Y) P_H + C(P_V) nabla_t Y
-    - (1/2)[C_H(P_V), C_H(Y_V)] P_H = 0 for Y'', with the second covariant
-    derivative expanded as Y'' + A'Y + 2AY' + A(AY).  Vertical rows: the
-    derivative of the transport equation, [Z, P_H]_V + [Y, dP_H/dt]_V.
-    ``c`` holds the coefficients of ``_jacobi_coefficients`` at one sample
-    (Y and Z then take any batch axes) or at every sample along Y's leading
-    axis.
-    """
-    h = group.h
-    v2 = group.CH.shape[0]
-    A, M, uH = c["A"], c["M"], c["u"][..., :h]
-    AY = np.einsum("...ij,...j->...i", A, Y)
-    rest = (
-        np.einsum("...ij,...j->...i", c["Adot"], Y)
-        + 2.0 * np.einsum("...ij,...j->...i", A, Z)
-        + np.einsum("...ij,...j->...i", A, AY)
-        + np.einsum("...lj,...j->...l", c["B"], Y)
-        + np.einsum("...ij,...j->...i", c["CP"], Z + AY)
-    )
-    # (1/2)[C_H(P_V), C_H(Y_V)] P_H: the pairing z -> C_H(z) is not parallel
-    # for Levi-Civita, so differentiating C(P_V) along a variation leaves
-    # this commutator behind; it vanishes when the second layer is one
-    # dimensional (the two matrices are then proportional)
-    S = np.einsum("vij,...v->...ij", group.CH, Y[..., h : h + v2])
-    corr = 0.5 * (
-        np.einsum("...ij,...jk,...k->...i", M, S, uH)
-        - np.einsum("...ij,...jk,...k->...i", S, M, uH)
-    )
-    dZ = np.empty_like(Z)
-    dZ[..., :h] = corr - rest[..., :h]
-    dZ[..., h:] = (
-        np.einsum("rij,...i,...j->...r", group.C, Z, c["u"])
-        + np.einsum("rij,...i,...j->...r", group.C, Y, c["ud"])
-    )[..., h:]
-    return dZ
+    uH = u[..., :h]
+    Mu = np.einsum("...ij,...j->...i", M, uH)
+    Su, SMu = (np.einsum("aij,...j->...ia", group.CH, w) for w in (uH, Mu))
+    G = np.zeros(u.shape[:-1] + (2 * n, 2 * n))
+    G[..., :n, n:] = np.eye(n)
+    KY, KZ = G[..., n:, :n], G[..., n:, n:]
+    KY[..., :h, :] = -(Adot + A @ A + B + CP @ A)[..., :h, :]
+    KY[..., :h, h : h + v2] += 0.5 * (M @ Su - SMu)
+    KZ[..., :h, :] = -(2.0 * A + CP)[..., :h, :]
+    KY[..., h:, :] = np.einsum("rij,...j->...ri", group.CV, ud)
+    KZ[..., h:, :] = np.einsum("rij,...j->...ri", group.CV, u)
+    return G
 
 
 def jacobi_residual(
@@ -445,28 +432,32 @@ def jacobi_residual(
 ) -> FieldAlongCurve:
     """Defect of the constant-multiplier Jacobi system on a sampled field.
 
-    Horizontal rows evaluate nabla_t^2 Y + R(P_H, Y) P_H + C(P_V) nabla_t Y
-    - (1/2)[C_H(P_V), C_H(Y_V)] P_H, i.e. Y'' minus ``_jacobi_rhs``, with
-    the geodesic's velocity taken from its momenta; fields obtained by
+    The generator of ``_jacobi_generator`` is assembled on the sample grid,
+    with the geodesic's velocity taken from its momenta.  Horizontal rows
+    evaluate Y'' - K_Y Y - K_Z Y', i.e. nabla_t^2 Y + R(P_H, Y) P_H +
+    C(P_V) nabla_t Y - (1/2)[C_H(P_V), C_H(Y_V)] P_H; fields obtained by
     differencing actual geodesic families vanish against these rows.
-    Vertical rows report the transport defect dY_V/dt - [Y, P_H]_V instead:
-    variation fields keep their vertical part slaved to the horizontal one
-    through that first-order equation, and the second-order operator
-    applied to the vertical rows reduces to d/dt [Y, P_H]_V, which carries
-    no information the transport row does not already have.  No stencil is
-    applied to the output of another, so the defect stays uniformly second
-    order up to the boundary samples.
+    Vertical rows report the transport defect dY_V/dt - [Y, P_H]_V instead,
+    the vertical rows of K_Z applied to Y: variation fields keep their
+    vertical part slaved to the horizontal one through that first-order
+    equation, and the second-order operator applied to the vertical rows
+    reduces to d/dt [Y, P_H]_V, which carries no information the transport
+    row does not already have.  No stencil is applied to the output of
+    another, so the defect stays uniformly second order up to the boundary
+    samples.
     """
     g = _resolve_group(trace, group)
     dt = _uniform_dt(trace.times)
-    h = g.h
-    Y = _field_components(field, trace, g.n, "field")
+    h, n = g.h, g.n
+    Y = _field_components(field, trace, n, "field")
     u = _momentum_velocity(trace, h)
     pv = np.asarray(trace.ps[:, h:], dtype=float)
-    c = _jacobi_coefficients(g, connection_data(g), u, pv)
+    K = _jacobi_generator(g, u, pv)[:, n:]
     Ydot = np.gradient(Y, trace.times, axis=0, edge_order=2)
-    res = _second_derivative(dt, Y) - _jacobi_rhs(g, c, Y, Ydot)
-    res[:, h:] = Ydot[:, h:] - np.einsum("rij,mi,mj->mr", g.C, Y, u)[:, h:]
+    res = _second_derivative(dt, Y) - np.einsum(
+        "mij,mj->mi", K, np.concatenate([Y, Ydot], axis=1)
+    )
+    res[:, h:] = Ydot[:, h:] - np.einsum("mij,mj->mi", K[:, h:, n:], Y)
     return FieldAlongCurve(trace.times, res)
 
 
@@ -492,20 +483,23 @@ def integrate_jacobi(
     """March the Jacobi system along a unit-speed normal geodesic.
 
     The state is (Y, Z) with Z the plain time derivative of the frame
-    components.  Horizontal rows integrate the second-order system whose
-    defect ``jacobi_residual`` measures (curvature, C(P_V) coupling and the
-    pairing commutator); vertical rows integrate the derivative of the
-    transport equation, dZ_V/dt = [Z, P_H]_V + [Y, dP_H/dt]_V, so initial
-    data with Z_V(0) = [Y(0), P_H(0)]_V reproduce fields of actual geodesic
-    variations and arbitrary initial data still give a well-posed linear
-    flow of dimension 2n.  The normal flow's RK4 stepper (``_rk4``) runs
-    on the trace's grid, with the coefficients built once on its half-step
-    grid (midpoints from cubic interpolation of the momenta, keeping the
-    classical order); a field that overflows raises ``NonFiniteState``.
-    The meta carries Z as ``derivative`` and the vertical transport defect
-    Z_V - [Y, P_H]_V as ``constraint_defect`` (with its maximum
-    ``constraint_defect_sup``), monitored rather than enforced.
-    ``J0``/``J0dot`` accept leading batch axes.
+    components, and the system is linear: d/dt (Y, Z) = G (Y, Z) with the
+    generator G = [[0, I], [K_Y, K_Z]] of ``_jacobi_generator``.  Its
+    horizontal rows are the second-order system whose defect
+    ``jacobi_residual`` measures (curvature, C(P_V) coupling and the pairing
+    commutator); its vertical rows are the derivative of the transport
+    equation, dZ_V/dt = [Z, P_H]_V + [Y, dP_H/dt]_V, so initial data with
+    Z_V(0) = [Y(0), P_H(0)]_V reproduce fields of actual geodesic variations
+    and arbitrary initial data still give a well-posed linear flow of
+    dimension 2n.  G is assembled once, as one array on the half-step grid
+    (midpoints from cubic interpolation of the momenta, keeping the
+    classical order), and the normal flow's RK4 stepper (``_rk4``) applies
+    it at each stage on the trace's grid; a field that overflows raises
+    ``NonFiniteState``.  The meta carries Z as ``derivative`` and the
+    vertical transport defect Z_V - [Y, P_H]_V as ``constraint_defect``
+    (with its maximum ``constraint_defect_sup``), monitored rather than
+    enforced.  ``J0``/``J0dot`` accept leading batch axes; each row's field
+    is the same, bit for bit, as that row's alone.
     """
     g = group
     times = trace.times
@@ -513,25 +507,20 @@ def integrate_jacobi(
     h, n = g.h, g.n
     u = _momentum_velocity(trace, h)
     pv = np.asarray(trace.ps[:, h:], dtype=float)
-
-    c = _jacobi_coefficients(
-        g, connection_data(g), _half_step_grid(u), _half_step_grid(pv)
-    )
-    # one dict per sample, so that a stage only looks its coefficients up
-    rows = [dict(zip(c, row)) for row in zip(*c.values())]
+    G = _jacobi_generator(g, _half_step_grid(u), _half_step_grid(pv))
 
     J0 = np.asarray(J0, dtype=float)
     J0dot = np.asarray(J0dot, dtype=float)
     if J0.shape[-1] != n or J0dot.shape[-1] != n:
         raise ValueError(f"initial data must have {n} frame components")
     shape = np.broadcast_shapes(J0.shape, J0dot.shape)
-    y0 = np.stack([np.broadcast_to(J0, shape), np.broadcast_to(J0dot, shape)])
-
-    def rhs(y, s):
-        return np.concatenate([y[1:], _jacobi_rhs(g, rows[s], y[0], y[1])[None]])
-
-    ys = _rk4(rhs, y0, times)
-    Ys, Zs = ys[:, 0], ys[:, 1]
+    y0 = np.concatenate(
+        [np.broadcast_to(J0, shape), np.broadcast_to(J0dot, shape)], axis=-1
+    )
+    # einsum, not y @ G[s].T: matmul takes gemv for one row and gemm for a
+    # batch, so a row's bits would depend on its batch
+    ys = _rk4(lambda y, s: np.einsum("ij,...j->...i", G[s], y), y0, times)
+    Ys, Zs = ys[..., :n], ys[..., n:]
     br = np.einsum("rij,m...i,mj->m...r", g.C, Ys, u)
     defect = (Zs - br)[..., h:]
     meta = {

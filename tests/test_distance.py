@@ -18,7 +18,6 @@ from carnot.distance import (
     distance_lower_bound,
     distance_point,
     gauss_system_integrate,
-    horizontal_distance_gradient,
     sphere_sample,
 )
 from carnot.errors import NoConvergence, NonFiniteState, NotUnit, WrongStep
@@ -658,7 +657,14 @@ def test_eikonal_and_gauss_orthogonality():
     sample = sphere_sample(g, np.zeros(3), 1.0, n_dirs=10, n_vert=5, starts=10)
     pts = sample.points[sample.regular][:5]
     arr = sample.arrival_H[sample.regular][:5]
-    grads = horizontal_distance_gradient(g, np.zeros(3), pts, starts=8)
+    # off the cut locus grad_H d(0, .) is the horizontal arrival momentum
+    # of the unique minimizer
+    batch = distance_batch(g, np.zeros(3), pts, starts=8)
+    assert batch.converged.all()
+    _, arrival = exp_sr_2step(
+        g, np.zeros(3), batch.P0, batch.T, return_momentum=True
+    )
+    grads = arrival[:, : g.h]
     assert np.max(np.abs(np.linalg.norm(grads, axis=1) - 1.0)) < 1e-3
     # the horizontal gradient of d points along the arriving momentum
     assert np.max(np.abs(grads - arr)) < 1e-3
