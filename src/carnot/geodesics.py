@@ -15,6 +15,15 @@ in lock step (the acceptance sweeps rely on this). ``integrate_stepwise``
 exploits the grading instead, on any step k: the momentum of layer k - 1 is
 an algebraic function of position, so only x and the momentum layers below
 k - 1 are integrated; on step 2 that leaves an ODE in x alone.
+
+Both step one kernel (``_normal_flow``), built once per call. It writes
+(dx, dP) into a single (..., 2, n) array and touches only the blocks that
+can be nonzero: dx_H = P_H; dx_V is the frame's series N(x) P_H, whose first
+term contracts the rows C^alpha_{IJ} with I horizontal and whose later terms
+stay on the vertical rows; dP = -C(P_V) P_H contracts the horizontal columns
+of C only. So no RK4 stage pads P_H with zeros, copies it through
+``frame_apply`` or stacks dx and dP, and the bits are those of the padded
+form: dropping exact zeros from a sum leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -24,8 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import groups
 from .errors import NonFiniteState, TooFewSamples
-from .groups import CarnotGroup, frame_apply
+# frame_apply is not called here; perfbench/spans.py wraps it in every module
+# that imports it, and its self-tests look it up in this one
+from .groups import CarnotGroup, frame_apply  # noqa: F401
 
 __all__ = [
     "GeodesicTrace",
@@ -81,16 +93,42 @@ class GeodesicTrace:
         return json.dumps(self.as_dict(), indent=2)
 
 
-def normal_rhs(group: CarnotGroup, x, P):
-    """Right-hand side (dx, dP) of the normal system. Batch-friendly."""
-    x = np.asarray(x, dtype=float)
-    P = np.asarray(P, dtype=float)
+def _stacked(x, P) -> np.ndarray:
+    """The state y = (x, P), broadcast together and stacked on axis -2."""
+    shape = np.broadcast_shapes(x.shape, P.shape)
+    return np.stack([np.broadcast_to(x, shape), np.broadcast_to(P, shape)], axis=-2)
+
+
+def _normal_flow(group: CarnotGroup):
+    """The fused kernel of the module docstring: ``rhs(y, s)`` maps
+    y = (x, P), stacked on axis -2, to (dx, dP) stacked the same way. Its
+    bits are those of ``frame_apply`` and of the full contraction with C on
+    the zero-padded P_H."""
     h = group.h
-    PH = P.copy()
-    PH[..., h:] = 0.0
-    dx = frame_apply(group, x, PH)
-    dP = -np.einsum("aij,...a,...j->...i", group.CV, P[..., h:], PH)
-    return dx, dP
+    CVH = group.CV[:, :, :h]
+
+    def rhs(y, _=None):
+        x, ph, pv = y[..., 0, :], y[..., 1, :h], y[..., 1, h:]
+        out = np.empty(y.shape)
+        out[..., 0, :h] = ph
+        # frame_apply adds N to the padding's zeros, so add it to 0.0 (a -0.0
+        # in N reads +0.0). The series is looked up on groups at each call,
+        # so that a patched groups._nilpotent_apply takes effect here too.
+        np.add(0.0, groups._nilpotent_apply(group, x, ph), out=out[..., 0, h:])
+        dP = out[..., 1, :]
+        np.einsum("aij,...a,...j->...i", CVH, pv, ph, out=dP)
+        np.negative(dP, out=dP)
+        return out
+
+    return rhs
+
+
+def normal_rhs(group: CarnotGroup, x, P):
+    """Right-hand side (dx, dP) of the normal system. Batch-friendly; dx and
+    dP are the two halves of one (..., 2, n) array."""
+    y = _stacked(np.asarray(x, dtype=float), np.asarray(P, dtype=float))
+    out = _normal_flow(group)(y)
+    return out[..., 0, :], out[..., 1, :]
 
 
 def _rk4(rhs, y0, times):
@@ -147,17 +185,8 @@ def integrate_normal(
     """
     x0 = group.point(np.asarray(x0, dtype=float))
     P0 = group.point(np.asarray(P0, dtype=float))
-    shape = np.broadcast_shapes(x0.shape, P0.shape)
-    y0 = np.stack(
-        [np.broadcast_to(x0, shape), np.broadcast_to(P0, shape)], axis=-2
-    )
-
-    def rhs(y, _):
-        dx, dP = normal_rhs(group, y[..., 0, :], y[..., 1, :])
-        return np.stack([dx, dP], axis=-2)
-
     times = np.linspace(0.0, float(T), max(int(steps), 0) + 1)
-    ys = _rk4(rhs, y0, times)
+    ys = _rk4(_normal_flow(group), _stacked(x0, P0), times)
     xs = ys[..., 0, :]
     ps = ys[..., 1, :]
     meta = {
@@ -190,23 +219,28 @@ def integrate_stepwise(
     lo = group.growth.layer_slice(max(k - 1, 1)).start
     hi = group.growth.layer_slice(k).start
     Ctop = np.einsum("...a,aij->...ij", P0[..., hi:], group.C[hi:, lo:hi])
+    flow = _normal_flow(group)
 
-    def momentum(x, p_low):
-        P = np.broadcast_to(P0, x.shape).copy()
+    def state(x, p_low):
+        """(x, P) stacked on axis -2, P rebuilt from x and P[:lo]."""
+        z = np.empty(x.shape[:-1] + (2, n))
+        z[..., 0, :] = x
+        P = z[..., 1, :]
+        P[...] = P0
         P[..., :lo] = p_low
         P[..., lo:hi] -= np.einsum("...ij,...j->...i", Ctop, x - x0)
-        return P
+        return z
 
     def rhs(y, _):
-        x = y[..., :n]
-        dx, dP = normal_rhs(group, x, momentum(x, y[..., n:]))
-        return np.concatenate([dx, dP[..., :lo]], axis=-1)
+        d = flow(state(y[..., :n], y[..., n:]))
+        # dx and dP[:lo] are the first n + lo entries of the flattened pair
+        return d.reshape(d.shape[:-2] + (2 * n,))[..., : n + lo]
 
     y0 = np.concatenate([x0, P0[..., :lo]], axis=-1)
     times = np.linspace(0.0, float(T), max(int(steps), 0) + 1)
     ys = _rk4(rhs, y0, times)
     xs = ys[..., :n]
-    ps = momentum(xs, ys[..., n:])
+    ps = state(xs, ys[..., n:])[..., 1, :]
     meta = {
         "group": group.name,
         "method": "stepwise",

@@ -105,6 +105,13 @@ def _resolve_group(trace: GeodesicTrace, group: CarnotGroup | None) -> CarnotGro
     raise ValueError("trace carries no group; pass one explicitly")
 
 
+def _unbatched(samples: np.ndarray, what: str) -> np.ndarray:
+    """A trace's (m, width) samples; a trace with batch axes is refused."""
+    if samples.ndim != 2:
+        raise ValueError(f"{what} needs an unbatched trace")
+    return samples
+
+
 def _uniform_dt(times: np.ndarray) -> float:
     if times.shape[0] < 4:
         raise TooFewSamples("curve operators need at least 4 samples")
@@ -170,9 +177,10 @@ def covariant_derivative_along(
     each point; the field's time derivative uses the same stencils.
     """
     g = _resolve_group(trace, group)
+    xs = _unbatched(trace.xs, "the covariant derivative")
     _uniform_dt(trace.times)
     xi = _field_components(field, trace, g.n, "field")
-    u = _frame_velocity(g, trace.times, trace.xs)
+    u = _frame_velocity(g, trace.times, xs)
     gamma = connection_data(g).gamma
     return FieldAlongCurve(trace.times, _covdiff(gamma, trace.times, xi, u))
 
@@ -194,11 +202,12 @@ def sr_action(trace: GeodesicTrace, P_V_field=None, group: CarnotGroup | None = 
     FieldAlongCurve, or None for a plain sub-Riemannian length integrand.
     """
     g = _resolve_group(trace, group)
+    xs = _unbatched(trace.xs, "the action")
     dt = _uniform_dt(trace.times)
     pv = None
     if P_V_field is not None:
         pv = _field_components(P_V_field, trace, g.v, "multiplier")
-    return _action(g, trace.times, trace.xs, pv, dt)
+    return _action(g, trace.times, xs, pv, dt)
 
 
 def _endpoint_gate(Y: np.ndarray):
@@ -218,9 +227,7 @@ def _fd_speed_gate(u: np.ndarray, h: int):
 
 def _momentum_velocity(trace: GeodesicTrace, h: int) -> np.ndarray:
     """Frame velocity of a normal geodesic read off its momenta."""
-    if trace.ps.ndim != 2:
-        raise ValueError("the Jacobi system needs an unbatched trace")
-    u = np.array(trace.ps, dtype=float)
+    u = np.array(_unbatched(trace.ps, "the Jacobi system"), dtype=float)
     u[:, h:] = 0.0
     speed = np.linalg.norm(u[:, :h], axis=1)
     if np.max(np.abs(speed - 1.0)) > MOMENTUM_SPEED_TOL:
@@ -242,9 +249,7 @@ def first_variation_check(
     and central-differences the action at s = FIRST_VARIATION_STEP.
     """
     g = _resolve_group(trace, group)
-    times, xs = trace.times, trace.xs
-    if xs.ndim != 2:
-        raise ValueError("variation checks need an unbatched trace")
+    times, xs = trace.times, _unbatched(trace.xs, "a variation check")
     dt = _uniform_dt(times)
     h = g.h
     Y = _field_components(Y, trace, g.n, "Y")
@@ -296,9 +301,7 @@ def second_variation_check(
     if mode not in ("general", "geodesic-variation"):
         raise ValueError(f"unknown mode {mode!r}")
     g = _resolve_group(trace, group)
-    times, xs = trace.times, trace.xs
-    if xs.ndim != 2:
-        raise ValueError("variation checks need an unbatched trace")
+    times, xs = trace.times, _unbatched(trace.xs, "a variation check")
     dt = _uniform_dt(times)
     h = g.h
     Y = _field_components(Y, trace, g.n, "Y")

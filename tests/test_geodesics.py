@@ -93,6 +93,37 @@ def test_normal_rhs_batch():
         np.testing.assert_array_equal(dP[i], dPi)
 
 
+def test_normal_rhs_is_the_padded_frame_and_contraction():
+    # the fused right-hand side drops only exact zeros: bit for bit it is
+    # the frame applied to the zero-padded P_H and the full contraction
+    rng = np.random.default_rng(12)
+    for g in (h1(), hn(2), engel(), random_two_step(5, 3, rng), *step4_groups()):
+        for shape in ((), (3,), (2, 3)):
+            x = rng.standard_normal(shape + (g.n,))
+            P = rng.standard_normal(shape + (g.n,))
+            PH = P.copy()
+            PH[..., g.h :] = 0.0
+            dx, dP = normal_rhs(g, x, P)
+            assert np.array_equal(dx, frame_apply(g, x, PH))
+            want = -np.einsum("aij,...a,...j->...i", g.CV, P[..., g.h :], PH)
+            assert np.array_equal(dP, want)
+
+
+def test_batch_rows_integrate_alone():
+    # a row's bits do not depend on the other rows of its batch
+    rng = np.random.default_rng(13)
+    for g in (random_two_step(4, 2, rng), engel()):
+        x0 = 0.3 * rng.standard_normal((2, 3, g.n))
+        P0 = rng.standard_normal((2, 3, g.n))
+        for integrate in (integrate_normal, integrate_stepwise):
+            whole = integrate(g, x0, P0, 1.2, 150)
+            for i in range(2):
+                for j in range(3):
+                    row = integrate(g, x0[i, j], P0[i, j], 1.2, 150)
+                    assert np.array_equal(row.xs, whole.xs[:, i, j])
+                    assert np.array_equal(row.ps, whole.ps[:, i, j])
+
+
 def test_h1_integration_matches_analytic():
     g = h1()
     lam = 1.3

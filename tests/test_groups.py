@@ -76,6 +76,14 @@ def test_growth_vector_bookkeeping():
         gv.layer_slice(4)
 
 
+def test_point_rejects_a_scalar():
+    g = h1()
+    with pytest.raises(ValueError, match="expected 3 coordinates, got a scalar"):
+        g.point(0.0)
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        g.point([0.0, 1.0])
+
+
 def test_h1_structure_tensor():
     g = h1()
     assert g.C[2, 0, 1] == 1.0 and g.C[2, 1, 0] == -1.0

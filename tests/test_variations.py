@@ -576,6 +576,28 @@ def test_jacobi_needs_an_unbatched_trace():
         jacobi_residual(g, tr, np.zeros((101, 3)))
 
 
+def batched_h1_trace():
+    # every row is unit speed: a refusal is about the shape, not the speed
+    P0 = np.array([[1.0, 0.0, 1.0], [0.6, 0.8, -0.5]])
+    return integrate_normal(h1(), np.zeros(3), P0, 1.0, 100)
+
+
+def test_sr_action_needs_an_unbatched_trace():
+    tr = batched_h1_trace()
+    for multiplier in (None, np.ones(1)):
+        with pytest.raises(ValueError, match="the action needs an unbatched trace"):
+            sr_action(tr, multiplier)
+
+
+def test_covariant_derivative_needs_an_unbatched_trace():
+    tr = batched_h1_trace()
+    field = FieldAlongCurve(tr.times, np.zeros((101, 3)))
+    with pytest.raises(
+        ValueError, match="the covariant derivative needs an unbatched trace"
+    ):
+        covariant_derivative_along(tr, field)
+
+
 def test_integrate_jacobi_abelian_linear():
     g = ABELIAN
     tr = integrate_normal(

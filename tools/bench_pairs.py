@@ -2,12 +2,14 @@
 
     python3 tools/bench_pairs.py --root ../parent --workload shoot-corank3 --seed 1 --pairs 10
     python3 tools/bench_pairs.py --root ../parent --workload cli flow-chart --seed 1 --pairs 3
+    python3 tools/bench_pairs.py --root ../parent --workload flow-chart --seed 1 9001 --pairs 3
 
 Runs the benchmark command of BENCHMARK.json (``perfbench/run.py``) untraced,
 for the run length BENCHMARK.json fixes, once in each checkout per pair,
-alternating which one goes first; several workloads run one after the
-other, each with its own pairs. Prints every run's end-to-end metrics as it
-finishes, then per workload and metric each side's median and quartiles, the
+alternating which one goes first; several workloads and seeds run one after
+the other (each workload on every seed in turn), each with its own pairs.
+Prints every run's end-to-end metrics as it finishes, then per workload,
+seed and metric each side's median and quartiles, the
 ratio of the medians (change over parent), the number of pairs the change
 won (ties count for neither) and whether the medians differ by more than the
 distance between the parent's quartiles. A gain may be claimed where the
@@ -41,7 +43,8 @@ def run(root, spec, workload, seed):
 
 
 def pairs(roots, spec, workload, seed, n):
-    """Run ``n`` alternating pairs of one workload and print its summary."""
+    """Run ``n`` alternating pairs of one workload and seed, and print their
+    summary."""
     metrics = spec["end_to_end"]
     values = {side: {m["name"]: [] for m in metrics} for side in roots}
     for i in range(n):
@@ -49,8 +52,8 @@ def pairs(roots, spec, workload, seed, n):
             res = run(roots[side], spec, workload, seed)
             for m in metrics:
                 values[side][m["name"]].append(res["metrics"][m["name"]]["value"])
-            print("%s pair %d %-6s correct=%s failed=%d %s" % (
-                workload, i, side, res["correct"], res["failed"],
+            print("%s seed %d pair %d %-6s correct=%s failed=%d %s" % (
+                workload, seed, i, side, res["correct"], res["failed"],
                 " ".join("%s=%.6g" % (m["name"], values[side][m["name"]][-1]) for m in metrics),
             ), flush=True)
     for m in metrics:
@@ -61,8 +64,8 @@ def pairs(roots, spec, workload, seed, n):
         qa, qb = np.percentile(a, [25, 50, 75]), np.percentile(b, [25, 50, 75])
         ratio = qb[1] / qa[1] if qa[1] else float("nan")
         beyond = abs(qb[1] - qa[1]) > qa[2] - qa[0]
-        print("%s %-12s parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  ratio %.4f  won %d of %d  beyond parent IQR: %s" % (
-            workload, m["name"], qa[1], qa[0], qa[2], qb[1], qb[0], qb[2], ratio, won, n, "yes" if beyond else "no"))
+        print("%s seed %d %-12s parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  ratio %.4f  won %d of %d  beyond parent IQR: %s" % (
+            workload, seed, m["name"], qa[1], qa[0], qa[2], qb[1], qb[0], qb[2], ratio, won, n, "yes" if beyond else "no"))
 
 
 def main(argv=None):
@@ -71,14 +74,15 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--root", required=True, help="checkout to compare with")
     p.add_argument("--workload", required=True, nargs="+", choices=[w["name"] for w in spec["workloads"]])
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, nargs="+", required=True, help="one or more seeds, each paired on its own")
     p.add_argument("--pairs", type=int, default=10, help="pairs of runs (default: %(default)s)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     roots = {"parent": os.path.abspath(args.root), "change": HERE}
     for workload in args.workload:
-        pairs(roots, spec, workload, args.seed, args.pairs)
+        for seed in args.seed:
+            pairs(roots, spec, workload, seed, args.pairs)
     return 0
 
 
