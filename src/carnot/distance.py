@@ -223,9 +223,12 @@ class ShootingSolution:
 class ShootingBatch:
     """Vectorized shooting results for a batch of targets (arrays over m).
 
-    ``certified`` marks converged targets whose returned covector turns less
-    than a full period of its fastest rotation, sigma_max(C_H(eta)) T < 2 pi:
-    their root is the unique minimizer, so T is the distance.
+    ``certified`` marks converged targets whose T is the distance: on
+    corank 1 every converged one, as the solve there is exact (a target on
+    the boundary turn of a full period is reached by a family of
+    minimizers); on corank >= 2 those whose returned covector turns less
+    than a full period of its fastest rotation, sigma_max(C_H(eta)) T <
+    2 pi, where the root is the unique minimizer.
     """
 
     T: np.ndarray
@@ -537,15 +540,22 @@ def _corank1(group, targets):
     the kernel) the endpoint of the unit covector (nu, eta) at time T with
     turn u = eta T is, plane by plane, y_j = G(lambda_j u)^{-1} applied to
     nu_j T with G(th)^{-1} = R(th) / sinc(th/2), R the rotation by th/2, and
-    y_V = sum_j lambda_j |y_j|^2 mu(lambda_j u). The vertical equation is
-    solved for u >= 0 against |y_V| (mu is odd) by Newton's method inside
-    the bracket [0, 2 pi / lambda_max), bisecting whenever a step would leave
-    it. In the fastest planes T comes from the
-    vertical equation once they turn more than half a period, where
+    y_V = sum_j lambda_j |y_j|^2 mu(lambda_j u) =: F(u). The vertical
+    equation F(u) = |y_V| (mu is odd) is solved for u >= 0 inside the
+    bracket [0, 2 pi / lambda_max) by Newton's method on F^(-1/2), which is
+    nearly linear next to mu's double pole, bisecting whenever a step would
+    leave the bracket. It starts at Newton's first step from u = 0 on F
+    itself, u = 12 |y_V| / sum_j lambda_j^2 |y_j|^2 (F(0) = 0 and F'(0) is
+    that sum over 12), or at the bracket's midpoint where that is not inside
+    it. It stops at a step below 4e-16 u, taking it, or at a bracket below
+    4e-16 of its upper end; both are relative, so the iterates of a target
+    dilated by a power of 2 keep their bits. In the fastest planes T comes
+    from the vertical equation once they turn more than half a period, where
     1 / sinc(th/2) amplifies rounding of u near the pole. ``family`` marks
     targets reached on the boundary u = 2 pi / lambda_max (to rounding: their
     fastest-plane part is below AXIS_TOL of their horizontal part), where the
-    direction in the fastest planes is free.
+    direction in the fastest planes is free; they take u = 2 pi / lambda_max
+    and no Newton step.
     """
     h, n = group.h, group.n
     m = targets.shape[0]
@@ -565,6 +575,8 @@ def _corank1(group, targets):
 
     def vertical(u, lc, cols):
         """Share of the planes ``cols`` in y_V at turn u, and its u-derivative."""
+        if not lam[cols].size:
+            return np.zeros(u.size), np.zeros(u.size)
         mu, dmu = _gaveau(lam[cols] * u[:, None])
         lc = lc[:, cols]
         return (lc * mu).sum(axis=1), (lc * lam[cols] * dmu).sum(axis=1)
@@ -578,22 +590,30 @@ def _corank1(group, targets):
 
     lo = np.zeros(m)
     hi = np.full(m, umax)
-    u = np.zeros(m)
-    active = a > 0.0
+    active = (a > 0.0) & ~family
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = 12.0 * a / (lam * lc).sum(axis=1)
+    u = np.where((u > 0.0) & (u < umax), u, 0.5 * umax)
+    u = np.where(active, u, np.where(family, umax, 0.0))
     for _ in range(200):
         if not active.any():
             break
+        aa = a[active]
         F, dF = vertical(u[active], lc[active], slice(None))
-        f = a[active] - F
+        f = aa - F
         ua, loa, hia = u[active], lo[active], hi[active]
         loa = np.where(f >= 0.0, ua, loa)
         hia = np.where(f < 0.0, ua, hia)
-        # a zero or tiny dF (|y_j|^2 subnormal) gives a step outside the bracket
+        # Newton on F^(-1/2) = aa^(-1/2), written without a cancellation; a
+        # zero or tiny dF (|y_j|^2 subnormal) gives a step outside the bracket
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            un = ua + f / dF
-        inside = np.isfinite(un) & (un > loa) & (un < hia)
+            r = F / aa
+            step = 2.0 * r * f / ((1.0 + np.sqrt(r)) * dF)
+            un = ua + step
+        last = np.abs(step) <= 4e-16 * ua
+        inside = last | (np.isfinite(un) & (un > loa) & (un < hia))
         un = np.where(inside, un, 0.5 * (loa + hia))
-        done = (np.abs(un - ua) <= 4e-16 * un) | (hia - loa <= 4e-16 * hia)
+        done = last | (np.abs(un - ua) <= 4e-16 * un) | (hia - loa <= 4e-16 * hia)
         idx = np.nonzero(active)[0]
         u[idx], lo[idx], hi[idx] = un, loa, hia
         active[idx[done]] = False
@@ -754,7 +774,8 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
     Reduces every target to the origin by left translation. On corank-1
     groups each target is solved exactly (``starts`` and ``max_iter`` are
     not used) and counts as converged when the returned covector reaches it
-    within ROOT_TOL relative to max(1, |z|). On corank >= 2 the multi-start
+    within ROOT_TOL relative to max(1, |z|), a residual that overflows
+    counting as a miss. On corank >= 2 the multi-start
     shooting solver runs on the whole batch, each target from its first
     start alone, the others opening where that finds no certified root
     (turning less than a full period of its fastest rotation), and until
@@ -769,13 +790,15 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
     more with the careful step of the module docstring. Targets whose
     minimizing roots disagree in covector while tying in time are flagged
     with ``multiplicity``, as are corank-1 targets reached by a family of
-    minimizers and vertical-axis targets (horizontal offset below 1e-9).
+    minimizers and vertical-axis targets (``on_axis``: |z_H| at most
+    AXIS_TOL sqrt(max_a |z_a|), a test that dilations leave unchanged).
     Targets left with no root carry their best residual and
     ``converged=False``: no start converged on z or on -z, in either pass,
     or (corank >= 2) every converged root ran past a conjugate point. For them
-    ``solution(i)`` raises NoConvergence. ``certified`` marks, on every
-    corank, the converged targets whose returned covector turns less than a
-    full period over T. A NaN or infinite coordinate in x0 or the targets
+    ``solution(i)`` raises NoConvergence. ``certified`` marks on corank 1
+    every converged target, whose T is exact, and on corank >= 2 the
+    converged targets whose returned covector turns less than a full period
+    over T. A NaN or infinite coordinate in x0 or the targets
     raises NonFiniteState.
     """
     require_step2(group, "distance")
@@ -789,18 +812,24 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
     res_out = np.zeros(m)
     mult_out = np.zeros(m, dtype=bool)
     conv_out = np.ones(m, dtype=bool)
-    on_axis = np.linalg.norm(reduced[:, :h], axis=1) < AXIS_TOL
-
-    trivial = np.linalg.norm(reduced, axis=1) < 1e-13
+    # a norm that overflows reads inf, which is right for both tests; |z_H|
+    # is held against sqrt(max_a |z_a|), as both scale alike under dilations
+    with np.errstate(over="ignore"):
+        on_axis = np.linalg.norm(reduced[:, :h], axis=1) <= AXIS_TOL * np.sqrt(
+            np.abs(reduced[:, h:]).max(axis=1)
+        )
+        trivial = np.linalg.norm(reduced, axis=1) < 1e-13
     mult_out[trivial] = True
     todo = ~trivial
     if todo.any():
         sub = reduced[todo]
         if group.v == 1:
             T, P0, mult = _corank1(group, sub)
-            reached = exp_sr_2step(group, np.zeros(n), P0, T)
-            res = np.linalg.norm(reached - sub, axis=1)
-            found = res <= ROOT_TOL * np.maximum(1.0, np.linalg.norm(sub, axis=1))
+            with np.errstate(over="ignore"):
+                reached = exp_sr_2step(group, np.zeros(n), P0, T)
+                res = np.linalg.norm(reached - sub, axis=1)
+                scale = np.maximum(1.0, np.linalg.norm(sub, axis=1))
+            found = np.isfinite(res) & (res <= ROOT_TOL * scale)
         else:
             T, P0, res, mult, found = _shooting(group, sub, starts, max_iter)
         sel = np.nonzero(todo)[0]
@@ -810,7 +839,10 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
         mult_out[sel] = found & (mult | on_axis[sel])
         conv_out[sel] = found
 
-    turn = _top_frequency(group, P_out[:, h:]) * T_out
+    certified = conv_out.copy()
+    if group.v > 1:
+        turn = _top_frequency(group, P_out[:, h:]) * T_out
+        certified = conv_out & (turn < 2.0 * np.pi)
     return ShootingBatch(
         T=T_out,
         P0=P_out,
@@ -818,7 +850,7 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
         multiplicity=mult_out,
         on_axis=on_axis,
         converged=conv_out,
-        certified=conv_out & (turn < 2.0 * np.pi),
+        certified=certified,
         group=group,
     )
 

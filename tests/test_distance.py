@@ -564,6 +564,98 @@ def test_corank1_exact_at_high_turn():
             assert np.max(np.abs(reached - y)) < 1e-10 * max(1.0, L**2)
 
 
+def _planted_corank1_targets(g, rng, k, max_turn):
+    """Ends of k unit covectors turned up to max_turn of a period."""
+    lam = skew_canonical(g.CH[0]).lambdas[0]
+    nu = rng.normal(size=(k, g.h))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    L = 10.0 ** rng.uniform(-1.0, 1.0, k)
+    turn = rng.uniform(-max_turn, max_turn, k)
+    P0 = np.concatenate([nu, (turn * 2.0 * np.pi / (L * lam))[:, None]], axis=1)
+    return exp_sr_2step(g, np.zeros(g.n), P0, L)
+
+
+def test_corank1_evaluation_budget(monkeypatch):
+    # the turn's Newton stops once converged: vertical-axis targets take
+    # the boundary turn with no solve, and the others a few steps each
+    calls = [0]
+    gaveau = distance._gaveau
+
+    def counted(theta):
+        calls[0] += 1
+        return gaveau(theta)
+
+    monkeypatch.setattr(distance, "_gaveau", counted)
+    rng = np.random.default_rng(28)
+    for g in (h1(), hn(3)):
+        for z in (1e-3, -0.5, 7.0):
+            y = np.zeros(g.n)
+            y[-1] = z
+            calls[0] = 0
+            sol = distance_point(g, np.zeros(g.n), y)
+            assert calls[0] <= 2
+            assert abs(sol.T - 2.0 * np.sqrt(np.pi * abs(z))) < 1e-12 * sol.T
+        counts = []
+        for y in _planted_corank1_targets(g, rng, 60, 0.75):
+            calls[0] = 0
+            distance_point(g, np.zeros(g.n), y)
+            counts.append(calls[0])
+        assert np.mean(counts) <= 8.0
+
+
+def test_corank1_power_of_two_dilation_keeps_the_bits():
+    # a relative stop rule and scale-free flags: dilating a target by 2^k
+    # scales T by 2^k and eta by 2^-k to the bit, and changes no flag
+    rng = np.random.default_rng(29)
+    g5 = random_two_step(5, 1, np.random.default_rng(7))
+    form = skew_canonical(g5.CH[0])
+    family = np.zeros(6)
+    family[:5] = 0.3 * form.O[:, 2] + 0.4 * form.O[:, 4]
+    family[5] = -3.0
+    for g in (h1(), hn(2), g5):
+        axis = np.zeros((2, g.n))
+        axis[:, -1] = (0.3, -2.0)
+        near = np.zeros((1, g.n))
+        near[0, 0], near[0, -1] = 1e-10, 1.0
+        Y = np.concatenate(
+            [_planted_corank1_targets(g, rng, 12, 0.99), axis, near]
+            + ([family[None]] if g is g5 else [])
+        )
+        base = distance_batch(g, np.zeros(g.n), Y)
+        assert base.converged.all() and base.certified.all()
+        assert base.on_axis.sum() == 3 and base.multiplicity.sum() == 3 + (g is g5)
+        for k in (-10, -3, 1, 5, 40):
+            s = 2.0**k
+            b = distance_batch(g, np.zeros(g.n), dilate(g, s, Y))
+            assert np.array_equal(b.T, s * base.T)
+            assert np.array_equal(b.P0[:, : g.h], base.P0[:, : g.h])
+            assert np.array_equal(b.P0[:, g.h :], base.P0[:, g.h :] / s)
+            for flag in ("on_axis", "multiplicity", "certified", "converged"):
+                assert np.array_equal(getattr(b, flag), getattr(base, flag))
+
+
+def test_on_axis_is_scale_free():
+    # (2^-40, 0, 0) is reached by the unique straight segment, as (1, 0, 0)
+    # is; and (2^-40, 0, 2^-70) is the dilation of (1, 0, 2^10)
+    g = h1()
+    Y = np.array(
+        [[2.0**-40, 0.0, 0.0], [1.0, 0.0, 0.0],
+         [2.0**-40, 0.0, 2.0**-70], [1.0, 0.0, 2.0**10], [0.0, 0.0, 1.0]]
+    )
+    batch = distance_batch(g, np.zeros(3), Y)
+    assert batch.on_axis.tolist() == [False] * 4 + [True]
+    assert batch.multiplicity.tolist() == [False] * 4 + [True]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_corank1_non_finite_residual_is_not_converged():
+    # the reach check's residual overflows here; it must not pass for a root
+    batch = distance_batch(h1(), np.zeros(3), [[1e150, 0.0, 1e300], [0.0, 0.0, 1e200]])
+    assert not batch.converged.any() and not batch.certified.any()
+    with pytest.raises(NoConvergence):
+        batch.solution(0)
+
+
 def test_normal_geodesic_minimizes_up_to_the_fastest_turn():
     # a normal geodesic minimizes up to the turn 2 pi / sigma_max(C_H(eta)):
     # covectors planted at 0.5-0.95 of that turn on a corank-2 group have
