@@ -355,9 +355,8 @@ def _chart_for(args, group, field, x):
         from .surfaces import _project_batch
 
         base = _project_batch(field, x[None, :])[0]
-    return build_chart(
-        group, field, base, radius=args.radius, eps0=args.eps0
-    )
+    with _rejected_input():
+        return build_chart(group, field, base, radius=args.radius, eps0=args.eps0)
 
 
 def cmd_surface_normals(args):

@@ -945,8 +945,8 @@ def sphere_sample(
     the wave front is strictly closer and gets dropped.
     """
     require_step2(group, "sphere sampling")
-    if r <= 0.0:
-        raise ValueError("sphere radius must be positive")
+    if not (np.isfinite(r) and r > 0.0):
+        raise ValueError("sphere radius must be finite and positive, got %r" % r)
     x0 = group.point(np.asarray(x0, dtype=float))
     h, v, n = group.h, group.v, group.n
 
@@ -1054,14 +1054,17 @@ def conjugate_detect(group, x0, P0, t_max, samples=CONJ_SAMPLES):
     falls below 1e-8 of its window's largest; a root within 1e-6 t_max of
     the last one reported is dropped. The determinant vanishes at t = 0
     (the exponential collapses the vertical directions), monotonically in
-    magnitude at small t, so nothing spurious is reported there.
+    magnitude at small t, so nothing spurious is reported there. Raises
+    NonFiniteState for a non-finite x0 or P0.
     """
     require_step2(group, "conjugate detection")
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not (np.isfinite(t_max) and t_max > 0.0):
+        raise ValueError("t_max must be finite and positive, got %r" % t_max)
     if samples < 2:
         raise ValueError("the conjugate-time scan needs samples >= 2")
     x0, P0 = group.point(x0), group.point(P0)
+    if not (np.isfinite(x0).all() and np.isfinite(P0).all()):
+        raise NonFiniteState("conjugate detection needs a finite x0 and P0")
     brackets = _conjugate_brackets(group, x0, P0, t_max, samples)
     out = []
     for t in np.sort(_conjugate_roots(group, x0, P0, *brackets)):

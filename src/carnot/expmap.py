@@ -35,10 +35,11 @@ the four terms from one contraction of the stacked tensors.
 x_H(t) is linear and x_V(t) quadratic in P_H(0), so by polarization the
 derivative along a horizontal momentum dP_H is exact: E(t) dP_H, and
 -(1/2) dq^T (G_a + G_a^T) q with dq = U^T dP_H, G_a = K1 T1 - K2 T2 - K3 T3
-+ K4 T4, plus the part linear in x_H(0). ``ClosedFormPath.jet`` returns the
-point and these derivatives from one set of factors; at t = 1 along the
-unit vectors e_i they are the exact horizontal columns of the exponential
-Q -> x(1; Q), which the shooting solver of carnot.distance inverts.
++ K4 T4, plus the part linear in x_H(0). ``ClosedFormPath`` gets points,
+momenta and these derivatives from one set of factors in one core; at t = 1
+along the unit vectors e_i they are the exact horizontal columns of the
+exponential Q -> x(1; Q), which the shooting solver of carnot.distance
+inverts.
 
 On corank 1 (v = 1, every Heisenberg group) none of this is needed.
 M = eta C^1 commutes with C^1, so in the canonical basis O of C^1
@@ -166,14 +167,15 @@ class ClosedFormPath:
     vertical increments at any collection of times come out of vectorized
     kernel evaluations. Batch axes of x0 and P0 broadcast together; times
     passed to the evaluation methods broadcast against that batch shape.
-    U is an eigenbasis of M^T M and q = U^T P_H(0). On corank >= 2 the
-    coefficient tensors K1..K4 of the module docstring are kept as one
-    tensor of shape batch + (v, 4, h, h), signs folded in, which
-    ``increments`` contracts with W and the stacked product integrals at
-    once. On corank 1 there are no K tensors and no product integrals: U is
-    the canonical basis O of C^1, one per group, and every method works
-    plane by plane in O(h) per point. A row's bits do not depend on the
-    other rows of its batch.
+    U is an eigenbasis of M^T M and q = U^T P_H(0). Every evaluation method
+    is a thin wrapper over ``_evaluate``, which holds the one branch on the
+    corank. On corank >= 2 the coefficient tensors K1..K4 of the module
+    docstring are kept as one tensor of shape batch + (v, 4, h, h), signs
+    folded in, which ``_evaluate`` contracts with W and the stacked product
+    integrals at once. On corank 1 there are no K tensors and no product
+    integrals: U is the canonical basis O of C^1, one per group, and
+    ``_evaluate`` works plane by plane in O(h) per point. A row's bits do
+    not depend on the other rows of its batch.
     """
 
     group: CarnotGroup
@@ -199,52 +201,90 @@ class ClosedFormPath:
 
         CH = g.CH
         self._CHx0 = np.einsum("vij,...j->...vi", CH, self.x0[..., :h])
-        PH0 = self.P0[..., :h]
         if g.v == 1:
             form = _corank1_form(g)
             self.U, self._lam = form.O, form.lambdas
             self._eta = self.P0[..., h, None]
-            self.q = np.einsum("...ip,...i->...p", self.U, PH0)
-            return
-        M = c_operator(g, self.P0[..., h:], horizontal=True)
-        w, U = np.linalg.eigh(np.swapaxes(M, -1, -2) @ M)
-        self.M, self.U = M, U
-        self.sigma = np.sqrt(np.clip(w, 0.0, None))
-        self.q = np.einsum("...ip,...i->...p", U, PH0)
-        # K1..K4 of the module docstring, stacked; -MU folds in the signs
-        # +, -, -, + of the four terms exactly
-        nMU = -(M @ U)[..., None, :, :]
-        Ut = np.swapaxes(U, -1, -2)[..., None, :, :]
-        nMUt = np.swapaxes(nMU, -1, -2)
-        CU = CH @ U[..., None, :, :]
-        nCMU = CH @ nMU
-        self._K = np.empty(self.batch + (g.v, 4, h, h))
-        np.matmul(Ut, CU, out=self._K[..., 0, :, :])
-        np.matmul(Ut, nCMU, out=self._K[..., 1, :, :])
-        np.matmul(nMUt, CU, out=self._K[..., 2, :, :])
-        np.matmul(nMUt, nCMU, out=self._K[..., 3, :, :])
-        self._W = self.q[..., :, None] * self.q[..., None, :]
+        else:
+            M = c_operator(g, self.P0[..., h:], horizontal=True)
+            w, U = np.linalg.eigh(np.swapaxes(M, -1, -2) @ M)
+            self.M, self.U = M, U
+            self.sigma = np.sqrt(np.clip(w, 0.0, None))
+            # K1..K4 of the module docstring, stacked; -MU folds in the
+            # signs +, -, -, + of the four terms exactly
+            nMU = -(M @ U)[..., None, :, :]
+            Ut = np.swapaxes(U, -1, -2)[..., None, :, :]
+            nMUt = np.swapaxes(nMU, -1, -2)
+            CU = CH @ U[..., None, :, :]
+            nCMU = CH @ nMU
+            self._K = np.empty(self.batch + (g.v, 4, h, h))
+            np.matmul(Ut, CU, out=self._K[..., 0, :, :])
+            np.matmul(Ut, nCMU, out=self._K[..., 1, :, :])
+            np.matmul(nMUt, CU, out=self._K[..., 2, :, :])
+            np.matmul(nMUt, nCMU, out=self._K[..., 3, :, :])
+        self._bind(self.P0[..., :h])
 
-    def _times(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(t, np.broadcast_shapes(self.batch, t.shape))
+    def _bind(self, PH):
+        """Set q = U^T P_H(0) and, on corank >= 2, W = q q^T."""
+        self.q = np.einsum("...ip,...i->...p", self.U, PH)
+        if self.group.v > 1:
+            self._W = self.q[..., :, None] * self.q[..., None, :]
 
-    def _z(self, t):
-        tB = self._times(t)
-        return tB, tB[..., None] * np.broadcast_to(
-            self.sigma, tB.shape + self.sigma.shape[-1:]
-        )
-
-    def _factors(self, t):
-        """t, z = sigma t and the per-frequency factors t sinc(z), t^2 hv(z).
-
-        The factors are the diagonals of E(t) in the eigenbasis: with
-        a = q-coordinates of a horizontal momentum, E(t) P_H = U (t sinc(z) a)
-        - M U (t^2 hv(z) a).
+    def _evaluate(self, t, momentum=False, dq=None):
+        """x_H(t) - x_H(0), P_H(t) if ``momentum``, I(t) and, given ``dq``
+        (horizontal momenta in the basis U, stacked as in ``jet``), the pair
+        of derivatives of x_H(t) and I(t) along each; None for what is not
+        asked. One set of factors serves all: on corank >= 2 t sinc(sigma t)
+        and t^2 hv(sigma t), the diagonals of E(t) in the eigenbasis, and the
+        product integrals; on corank 1 the turns theta_j = lambda_j eta t.
         """
-        tB, z = self._z(t)
+        t = np.asarray(t, dtype=float)
+        tB = np.broadcast_to(t, np.broadcast_shapes(self.batch, t.shape))
         ts = tB[..., None]
-        return tB, z, ts * _trig.sinc(z), ts * ts * _trig.hv(z)
+        q, ph = self.q, None
+        if self.group.v == 1:
+            theta = self._lam * (self._eta * ts)
+            R = theta.shape[-1]
+            # the signed area per unit |q_j|^2 that plane j sweeps, twice the
+            # area term's share
+            a = self._lam * ts * ts * theta * _trig.s3(theta)
+
+            def area(u):
+                qu = q[..., : 2 * R] * u[..., : 2 * R]
+                return (a * (qu[..., 0::2] + qu[..., 1::2])).sum(axis=-1)[..., None]
+
+            delta, ph = self._planes(q, ts, theta, momentum)
+            J = -area(q)
+            if dq is not None:
+                ddelta, dJ = self._planes(dq, ts, theta, False)[0], -2.0 * area(dq)
+        else:
+            z = ts * np.broadcast_to(self.sigma, tB.shape + self.sigma.shape[-1:])
+            s, e = ts * _trig.sinc(z), ts * ts * _trig.hv(z)
+            sq = s * q
+            delta = self._spread(sq, e * q)
+            if momentum:
+                ph = self._spread(np.cos(z) * q, sq)
+            # [t^2 T1, t^3 T2, t^3 T3, t^4 T4], stacked as _K is
+            za, zb, tt = z[..., :, None], z[..., None, :], ts[..., None]
+            T = np.empty(z.shape[:-1] + (4,) + 2 * z.shape[-1:])
+            np.multiply(tt**2, _trig.t1(za, zb), out=T[..., 0, :, :])
+            np.multiply(tt**3, _trig.t2(za, zb), out=T[..., 1, :, :])
+            np.multiply(tt**3, _trig.t3(za, zb), out=T[..., 2, :, :])
+            np.multiply(tt**4, _trig.t4(za, zb), out=T[..., 3, :, :])
+            # the four terms of the stacked contraction are summed in order,
+            # as four separate contractions would be
+            Jk = np.einsum("...vkab,...ab,...kab->...vk", self._K, self._W, T)
+            J = Jk[..., 0] + Jk[..., 1] + Jk[..., 2] + Jk[..., 3]
+            if dq is not None:
+                G = np.einsum("...vkab,...kab->...vab", self._K, T)
+                Gq = np.einsum("...vab,...b->...va", G + np.swapaxes(G, -1, -2), q)
+                ddelta = self._spread(s * dq, e * dq)
+                dJ = np.einsum("...va,...a->...v", Gq, dq)
+        I = np.einsum("...vj,...j->...v", self._CHx0, delta) + J
+        if dq is None:
+            return delta, ph, I, None
+        dI = np.einsum("...vj,...j->...v", self._CHx0, ddelta) + dJ
+        return delta, ph, I, (ddelta, dI)
 
     def _spread(self, a, b):
         """U a - M U b, back from eigenbasis coefficients a and b."""
@@ -252,40 +292,9 @@ class ClosedFormPath:
             "...ik,...kp,...p->...i", self.M, self.U, b
         )
 
-    def _flow(self, z, s, e):
-        """x_H(t) - x_H(0) and P_H(t) from the results of ``_factors``."""
-        sq = s * self.q
-        return self._spread(sq, e * self.q), self._spread(np.cos(z) * self.q, sq)
-
-    def _products(self, tB, z):
-        """[t^2 T1, t^3 T2, t^3 T3, t^4 T4] at z, stacked as _K is."""
-        za = z[..., :, None]
-        zb = z[..., None, :]
-        ts = tB[..., None, None]
-        h = z.shape[-1]
-        T = np.empty(z.shape[:-1] + (4, h, h))
-        np.multiply(ts**2, _trig.t1(za, zb), out=T[..., 0, :, :])
-        np.multiply(ts**3, _trig.t2(za, zb), out=T[..., 1, :, :])
-        np.multiply(ts**3, _trig.t3(za, zb), out=T[..., 2, :, :])
-        np.multiply(ts**4, _trig.t4(za, zb), out=T[..., 3, :, :])
-        return T
-
-    def _area(self, T):
-        """The part of I^a(t) quadratic in P_H(0), from ``_products``."""
-        # the four terms of the stacked contraction are summed in order, as
-        # four separate contractions would be
-        Jk = np.einsum("...vkab,...ab,...kab->...vk", self._K, self._W, T)
-        return Jk[..., 0] + Jk[..., 1] + Jk[..., 2] + Jk[..., 3]
-
-    def _turns(self, t):
-        """Corank 1: t and the turns theta_j = lambda_j eta t of the planes,
-        as B + (1,) and B + (R,)."""
-        ts = self._times(t)[..., None]
-        return ts, self._lam * (self._eta * ts)
-
     def _planes(self, q, ts, theta, momentum):
-        """Corank 1: x_H(t) - x_H(0), and P_H(t) if ``momentum``, for the
-        horizontal momentum with coordinates q in the basis O."""
+        """Corank 1: x_H(t) - x_H(0), and P_H(t) if ``momentum`` (else
+        None), for the horizontal momentum with coordinates q in the basis O."""
         h, R = self.group.h, theta.shape[-1]
         qp = q[..., : 2 * R].reshape(q.shape[:-1] + (R, 2))
         qk = q[..., 2 * R :]
@@ -298,45 +307,27 @@ class ClosedFormPath:
         d[..., 2 * R :] = ts * qk
         delta = np.einsum("ip,...p->...i", self.U, d)
         if not momentum:
-            return delta
+            return delta, None
         p = np.empty(lead + (h,))
         p[..., : 2 * R] = _trig.rotate_half(qp, -2.0 * theta).reshape(lead + (2 * R,))
         p[..., 2 * R :] = qk
         return delta, np.einsum("ip,...p->...i", self.U, p)
 
-    def _plane_area(self, ts, theta, q, dq):
-        """Corank 1: sum over planes j of a_j <q_j, dq_j>, where
-        a_j = lambda_j t^2 theta_j s3(theta_j) is the signed area per unit
-        |q_j|^2 that plane j sweeps (twice the area term's share)."""
-        R = theta.shape[-1]
-        a = self._lam * ts * ts * theta * _trig.s3(theta)
-        qq = q[..., : 2 * R] * dq[..., : 2 * R]
-        return (a * (qq[..., 0::2] + qq[..., 1::2])).sum(axis=-1)
-
     def horizontal(self, t):
         """x_H(t), its time derivative P_H(t) and the displacement
         x_H(t) - x_H(0), each of shape B + (h,)."""
-        if self.group.v == 1:
-            delta, ph = self._planes(self.q, *self._turns(t), momentum=True)
-        else:
-            _, z, s, e = self._factors(t)
-            delta, ph = self._flow(z, s, e)
+        delta, ph, _, _ = self._evaluate(t, momentum=True)
         return self.x0[..., : self.group.h] + delta, ph, delta
 
-    def increments(self, t, _delta=None):
+    def increments(self, t):
         """All vertical line integrals I^a(t), shape B + (v,)."""
-        delta = self.horizontal(t)[2] if _delta is None else _delta
-        if self.group.v == 1:
-            J = -self._plane_area(*self._turns(t), self.q, self.q)[..., None]
-        else:
-            J = self._area(self._products(*self._z(t)))
-        return np.einsum("...vj,...j->...v", self._CHx0, delta) + J
+        return self._evaluate(t)[2]
 
     def point(self, t, return_momentum=False):
         h = self.group.h
-        xh, ph, delta = self.horizontal(t)
-        xv = self.x0[..., h:] - 0.5 * self.increments(t, _delta=delta)
-        x = np.concatenate([xh, xv], axis=-1)
+        delta, ph, I, _ = self._evaluate(t, momentum=return_momentum)
+        xv = self.x0[..., h:] - 0.5 * I
+        x = np.concatenate([self.x0[..., :h] + delta, xv], axis=-1)
         if not return_momentum:
             return x
         pv = np.broadcast_to(self.P0[..., h:], xv.shape)
@@ -349,32 +340,13 @@ class ClosedFormPath:
         broadcasting against the batch and t. Returns x(t), bit for bit as
         ``point`` gives it, and the derivatives of x(t) in P_H(0) along each
         dPH, shape (j,) + B + (n,), exact by polarization (see the module
-        docstring). Both share one set of factors: on corank >= 2 the
-        sinc/hv factors and one stack of product integrals, on corank 1 the
-        plane turns.
+        docstring), from the factors that give x(t).
         """
         h = self.group.h
         dq = np.einsum("...ip,...i->...p", self.U, np.asarray(dPH, dtype=float))
-        if self.group.v == 1:
-            ts, theta = self._turns(t)
-            delta = self._planes(self.q, ts, theta, momentum=False)
-            J = -self._plane_area(ts, theta, self.q, self.q)[..., None]
-            ddelta = self._planes(dq, ts, theta, momentum=False)
-            dJ = -2.0 * self._plane_area(ts, theta, self.q, dq)[..., None]
-        else:
-            tB, z, s, e = self._factors(t)
-            delta = self._spread(s * self.q, e * self.q)
-            T = self._products(tB, z)
-            J = self._area(T)
-            ddelta = self._spread(s * dq, e * dq)
-            G = np.einsum("...vkab,...kab->...vab", self._K, T)
-            Gq = np.einsum("...vab,...b->...va", G + np.swapaxes(G, -1, -2), self.q)
-            dJ = np.einsum("...va,...a->...v", Gq, dq)
-        xv = self.x0[..., h:] - 0.5 * (
-            np.einsum("...vj,...j->...v", self._CHx0, delta) + J
-        )
+        delta, _, I, (ddelta, dI) = self._evaluate(t, dq=dq)
+        xv = self.x0[..., h:] - 0.5 * I
         x = np.concatenate([self.x0[..., :h] + delta, xv], axis=-1)
-        dI = np.einsum("...vj,...j->...v", self._CHx0, ddelta) + dJ
         return x, np.concatenate([ddelta, -0.5 * dI], axis=-1)
 
     def with_horizontal(self, PH):
@@ -382,8 +354,7 @@ class ClosedFormPath:
 
         Every eigendecomposition and kernel tensor depends only on (x0, P_V),
         so a batch of fresh horizontal momenta (leading axes broadcasting
-        against the existing batch) shares all of it; on corank 1 only q
-        changes.
+        against the existing batch) shares all of it; ``_bind`` sets q and W.
         """
         h, n = self.group.h, self.group.n
         PH = np.asarray(PH, dtype=float)
@@ -396,9 +367,7 @@ class ClosedFormPath:
         P0[..., h:] = self.P0[..., h:]
         clone.batch = batch
         clone.P0 = P0
-        clone.q = np.einsum("...ip,...i->...p", self.U, PH)
-        if self.group.v > 1:
-            clone._W = clone.q[..., :, None] * clone.q[..., None, :]
+        clone._bind(PH)
         return clone
 
 

@@ -360,8 +360,12 @@ def build_chart(group, field, base, radius=0.5, eps0=0.5):
     standard starting guess; that is exactly the property later queries
     rely on. Probing also certifies the patch stays clear of the
     characteristic set. Below eps0 2^-12 it gives up with NoConvergence.
+    Raises ValueError unless radius and eps0 are finite and positive.
     """
     require_step2(group, "tubular chart")
+    for name, value in (("radius", radius), ("eps0", eps0)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError("%s must be finite and positive, got %r" % (name, value))
     base = group.point(np.asarray(base, dtype=float))
     _check_on_surface(field, base)
     data = surface_normals(group, field, base)

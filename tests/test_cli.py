@@ -129,6 +129,10 @@ def test_out_of_range_values_exit_2(capsys):
          "radius"),
         (["surface", "metric-normal", "--group", "h1", "--f", "x1",
           "--at", "0,0,0", "--samples", "-2"], "samples"),
+        (["surface", "project", "--group", "h1", "--f", "x1",
+          "--at", "0.1,0,0", "--eps0=-1"], "eps0"),
+        (["surface", "delta", "--group", "h1", "--f", "x1",
+          "--at", "0.1,0,0", "--radius=-1"], "radius"),
     ):
         code, out, err = run(capsys, *argv)
         assert_config_error(code, out, err)

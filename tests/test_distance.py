@@ -524,6 +524,10 @@ def test_non_finite_points_raise():
                 distance_point(g, y, ok)
             with pytest.raises(NonFiniteState):
                 distance_lower_bound(g, ok, y)
+            with pytest.raises(NonFiniteState):
+                conjugate_detect(g, ok, y, 5.0)
+            with pytest.raises(ValueError, match="t_max"):
+                conjugate_detect(g, ok, ok, bad)
 
 
 def test_unconverged_target_raises_with_residual():

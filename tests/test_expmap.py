@@ -229,6 +229,8 @@ def test_jet_matches_central_differences(g):
         path = ClosedFormPath(group=g, x0=x0, P0=P0)
         x, dx = path.jet(t, dPH)
         assert np.array_equal(x, path.point(t))
+        assert np.array_equal(path.horizontal(t)[0], x[..., :h])
+        assert np.array_equal(x0[..., h:] - 0.5 * path.increments(t), x[..., h:])
         for j in range(3):
             Pp, Pm = P0.copy(), P0.copy()
             Pp[:, :h] += eps * dPH[j]
