@@ -28,6 +28,16 @@ Product integrals (za = a*t, zb = b*t; the caller applies the powers of t):
 
 with sinc(z) = sin(z)/z and hv(z) = (1 - cos z)/z^2, both entire.
 
+One kernel, ``products``, returns all four stacked from one pass, and
+``t1``..``t4`` are its slices. Their regular branches share four sums on the
+grid, sinc(za -+ zb) and ms_0(za -+ zb); sinc(za) and hv(za) come from the
+caller where it has them (the closed form's own factors). One moment call on
+za where zb is small (kmax 6) serves every series in zb, and one on zb where
+za alone is small (kmax 5) every series in za. The bits are those of four
+separate integrals: ms_0 is exactly odd, so t1's ms_0(zb - za) is
+-ms_0(za - zb) and x + (-y) is x - y; za + zb is zb + za; and each row of
+the moments' Horner sweep does not depend on kmax.
+
 Corank 1 needs none of the above but two plane kernels, shared by the
 closed-form exponential and the exact corank-1 distance: ``rotate_half``
 turns 2D plane components by half an angle, and s3(th) = (th - sin th)/th^3,
@@ -116,94 +126,63 @@ def _moments(z, kmax):
     return mc.reshape((kmax + 1,) + shape), ms.reshape((kmax + 1,) + shape)
 
 
-def _flat_pair(za, zb):
-    za, zb = np.broadcast_arrays(np.asarray(za, float), np.asarray(zb, float))
-    return za.reshape(-1), zb.reshape(-1), za.shape
+def products(za, zb, sinc_a=None, hv_a=None):
+    """[t1, t2, t3, t4] at (za, zb), stacked on a new leading axis.
 
-
-def t1(za, zb):
-    """int_0^1 cos(za u) u sinc(zb u) du."""
-    za, zb, shape = _flat_pair(za, zb)
-    small = np.abs(zb) < CUT
-    zbs = np.where(small, 1.0, zb)
-    out = 0.5 * (_ms0(zb + za) + _ms0(zb - za)) / zbs
-    if small.any():
-        mc, _ = _moments(za[small], 5)
-        w = zb[small] ** 2
-        out[small] = mc[1] - (w / 6.0) * mc[3] + (w * w / 120.0) * mc[5]
-    return out.reshape(shape)
-
-
-def t2(za, zb):
-    """int_0^1 cos(za u) u^2 hv(zb u) du."""
-    za, zb, shape = _flat_pair(za, zb)
-    small = np.abs(zb) < CUT
-    zbs = np.where(small, 1.0, zb)
-    out = (sinc(za) - 0.5 * (sinc(za - zb) + sinc(za + zb))) / (zbs * zbs)
-    if small.any():
-        mc, _ = _moments(za[small], 6)
-        w = zb[small] ** 2
-        out[small] = 0.5 * mc[2] - (w / 24.0) * mc[4] + (w * w / 720.0) * mc[6]
-    return out.reshape(shape)
-
-
-def t3(za, zb):
-    """int_0^1 u^2 sinc(za u) sinc(zb u) du (symmetric)."""
-    za, zb, shape = _flat_pair(za, zb)
+    ``sinc_a`` and ``hv_a`` are sinc and hv at za, broadcasting with it,
+    for a caller that has them already.
+    """
+    za = np.asarray(za, dtype=float)
+    if sinc_a is None:
+        sinc_a, hv_a = sinc(za), hv(za)
+    za, zb, sinc_a, hv_a = np.broadcast_arrays(za, np.asarray(zb, float), sinc_a, hv_a)
+    shape = za.shape
+    za, zb, sinc_a, hv_a = (x.reshape(-1) for x in (za, zb, sinc_a, hv_a))
     sa, sb = np.abs(za) < CUT, np.abs(zb) < CUT
-    zas = np.where(sa, 1.0, za)
-    zbs = np.where(sb, 1.0, zb)
-    out = 0.5 * (sinc(za - zb) - sinc(za + zb)) / (zas * zbs)
-    one = sa ^ sb
-    if one.any():
-        zsmall = np.where(sa, za, zb)[one]
-        zbig = np.where(sa, zb, za)[one]
-        _, msb = _moments(zbig, 5)
-        w = zsmall * zsmall
-        out[one] = (msb[1] - (w / 6.0) * msb[3] + (w * w / 120.0) * msb[5]) / zbig
+    zas, zbs = np.where(sa, 1.0, za), np.where(sb, 1.0, zb)
+    zab = zas * zbs
+    d, s = za - zb, za + zb
+    sd, ss, md, ms = sinc(d), sinc(s), _ms0(d), _ms0(s)
+    out = np.empty((4, za.size))
+    out[0] = 0.5 * (ms - md) / zbs
+    out[1] = (sinc_a - 0.5 * (sd + ss)) / (zbs * zbs)
+    out[2] = 0.5 * (sd - ss) / zab
+    out[3] = (za * hv_a - 0.5 * (ms + md)) / (zab * zbs)
+    if sb.any():
+        # series in zb against the moments of za: t1 and t2 wherever zb is
+        # small, t3 and t4 where za is not
+        a, w = za[sb], zb[sb] ** 2
+        mc, msa = _moments(a, 6)
+        out[0, sb] = mc[1] - (w / 6.0) * mc[3] + (w * w / 120.0) * mc[5]
+        out[1, sb] = 0.5 * mc[2] - (w / 24.0) * mc[4] + (w * w / 720.0) * mc[6]
+        big, onlyb = ~sa[sb], sb & ~sa
+        a, w, msa = a[big], w[big], msa[:, big]
+        out[2, onlyb] = (msa[1] - (w / 6.0) * msa[3] + (w * w / 120.0) * msa[5]) / a
+        out[3, onlyb] = (
+            0.5 * msa[2] - (w / 24.0) * msa[4] + (w * w / 720.0) * msa[6]
+        ) / a
+    onlya = sa & ~sb
+    if onlya.any():
+        # series in za against the moments of zb, with
+        # int u^k hv(zb u) du = (1/(k-1) - mc_{k-2})/zb^2
+        b, w = zb[onlya], za[onlya] ** 2
+        mcb, msb = _moments(b, 5)
+        out[2, onlya] = (msb[1] - (w / 6.0) * msb[3] + (w * w / 120.0) * msb[5]) / b
+        bb = b * b
+        i3 = (0.5 - mcb[1]) / bb
+        i5 = (0.25 - mcb[3]) / bb
+        i7 = (1.0 / 6.0 - mcb[5]) / bb
+        out[3, onlya] = i3 - (w / 6.0) * i5 + (w * w / 120.0) * i7
     both = sa & sb
     if both.any():
         wa, wb = za[both] ** 2, zb[both] ** 2
-        out[both] = (
+        out[2, both] = (
             1.0 / 3.0
             - (wa + wb) / 30.0
             + (wa * wa + wb * wb) / 840.0
             + wa * wb / 252.0
         )
-    return out.reshape(shape)
-
-
-def t4(za, zb):
-    """int_0^1 u^3 sinc(za u) hv(zb u) du."""
-    za, zb, shape = _flat_pair(za, zb)
-    sa, sb = np.abs(za) < CUT, np.abs(zb) < CUT
-    zas = np.where(sa, 1.0, za)
-    zbs = np.where(sb, 1.0, zb)
-    out = (_ms0(za) - 0.5 * (_ms0(za + zb) + _ms0(za - zb))) / (zas * zbs * zbs)
-    onlya = sa & ~sb
-    if onlya.any():
-        # series in za against int u^k hv(zb u) du = (1/(k-1) - mc_{k-2})/zb^2
-        b = zb[onlya]
-        wa = za[onlya] ** 2
-        mcb, _ = _moments(b, 5)
-        bb = b * b
-        i3 = (0.5 - mcb[1]) / bb
-        i5 = (0.25 - mcb[3]) / bb
-        i7 = (1.0 / 6.0 - mcb[5]) / bb
-        out[onlya] = i3 - (wa / 6.0) * i5 + (wa * wa / 120.0) * i7
-    onlyb = sb & ~sa
-    if onlyb.any():
-        # series in zb against int u^k sinc(za u) du = ms_{k-1}(za)/za
-        a = za[onlyb]
-        wb = zb[onlyb] ** 2
-        _, msa = _moments(a, 6)
-        out[onlyb] = (
-            0.5 * msa[2] - (wb / 24.0) * msa[4] + (wb * wb / 720.0) * msa[6]
-        ) / a
-    both = sa & sb
-    if both.any():
-        wa, wb = za[both] ** 2, zb[both] ** 2
-        out[both] = (
+        out[3, both] = (
             1.0 / 8.0
             - wa / 72.0
             - wb / 144.0
@@ -211,7 +190,23 @@ def t4(za, zb):
             + wa * wa / 1920.0
             + wb * wb / 5760.0
         )
-    return out.reshape(shape)
+    return out.reshape((4,) + shape)
+
+
+def t1(za, zb):
+    return products(za, zb)[0]
+
+
+def t2(za, zb):
+    return products(za, zb)[1]
+
+
+def t3(za, zb):
+    return products(za, zb)[2]
+
+
+def t4(za, zb):
+    return products(za, zb)[3]
 
 
 def s3(theta):

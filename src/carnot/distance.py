@@ -358,8 +358,9 @@ def _exp_jacobian(group, x0, P, t, central):
     The build stacks P over its copies perturbed in P_V on a new leading
     batch axis, v of them for forward differences with step
     1e-6 max(1, |P_V|), 2v for central ones with step CENTRAL_STEP
-    max(1, |P_V|). Its jet along the unit vectors e_i gives x(t) and the h
-    exact horizontal columns. t broadcasts against the batch of P.
+    max(1, |P_V|). Its jet along the unit vectors e_i gives x(t) on every
+    row and the h exact horizontal columns on P's own row alone, in one
+    pass. t broadcasts against the batch of P.
     """
     h, v = group.h, group.v
     # t's axes beyond P's batch go between the stacked copies and P's batch
@@ -371,11 +372,11 @@ def _exp_jacobian(group, x0, P, t, central):
     for a in range(v):
         Pe[1 + a :: v, ..., h + a] += shifts[..., a]
     Pe = Pe.reshape(Pe.shape[:1] + (1,) * lead + P.shape)
-    pts, dH = ClosedFormPath(group=group, x0=x0, P0=Pe).jet(
-        t, np.eye(h).reshape((h,) + (1,) * (Pe.ndim - 1) + (h,))
+    pts, dH = ClosedFormPath(group=group, x0=x0, P0=Pe)._jet(
+        t, np.eye(h).reshape((h,) + (1,) * (Pe.ndim - 2) + (h,)), True
     )
     diff = pts[1 : 1 + v] - (pts[1 + v :] if central else pts[0])
-    J = np.moveaxis(np.concatenate([dH[:, 0], diff]), 0, -1)
+    J = np.moveaxis(np.concatenate([dH, diff]), 0, -1)
     J[..., h:] /= signs.size * se[..., None, :]
     return pts[0], J
 

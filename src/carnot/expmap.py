@@ -39,7 +39,10 @@ derivative along a horizontal momentum dP_H is exact: E(t) dP_H, and
 momenta and these derivatives from one set of factors in one core; at t = 1
 along the unit vectors e_i they are the exact horizontal columns of the
 exponential Q -> x(1; Q), which the shooting solver of carnot.distance
-inverts.
+inverts. Its builds (and the conjugate scan's) stack each covector over
+copies perturbed in P_V, which only difference the P_V columns, so there the
+core takes the derivatives, G_a and all that follows from it, on the first
+row of the stack alone, in the same pass and with the same bits.
 
 On corank 1 (v = 1, every Heisenberg group) none of this is needed.
 M = eta C^1 commutes with C^1, so in the canonical basis O of C^1
@@ -230,18 +233,23 @@ class ClosedFormPath:
         if self.group.v > 1:
             self._W = self.q[..., :, None] * self.q[..., None, :]
 
-    def _evaluate(self, t, momentum=False, dq=None):
-        """x_H(t) - x_H(0), P_H(t) if ``momentum``, I(t) and, given ``dq``
-        (horizontal momenta in the basis U, stacked as in ``jet``), the pair
-        of derivatives of x_H(t) and I(t) along each; None for what is not
-        asked. One set of factors serves all: on corank >= 2 t sinc(sigma t)
-        and t^2 hv(sigma t), the diagonals of E(t) in the eigenbasis, and the
+    def _evaluate(self, t, momentum=False, dPH=None, first=False):
+        """x_H(t) - x_H(0), P_H(t) if ``momentum``, I(t) and, given ``dPH``
+        (horizontal momenta stacked as in ``jet``), the pair of derivatives
+        of x_H(t) and I(t) along each; None for what is not asked. With
+        ``first`` the derivatives are taken on the first row of the batch's
+        leading axis alone, which t must not extend, and that axis is
+        dropped from them (dPH then broadcasts against the rest). One set of
+        factors serves all: on corank >= 2 t sinc(sigma t) and
+        t^2 hv(sigma t), the diagonals of E(t) in the eigenbasis, and the
         product integrals; on corank 1 the turns theta_j = lambda_j eta t.
         """
         t = np.asarray(t, dtype=float)
         tB = np.broadcast_to(t, np.broadcast_shapes(self.batch, t.shape))
         ts = tB[..., None]
         q, ph = self.q, None
+        # the rows the derivatives are taken on: all, or the first alone
+        r = 0 if first else Ellipsis
         if self.group.v == 1:
             theta = self._lam * (self._eta * ts)
             R = theta.shape[-1]
@@ -249,47 +257,55 @@ class ClosedFormPath:
             # area term's share
             a = self._lam * ts * ts * theta * _trig.s3(theta)
 
-            def area(u):
+            def area(a, q, u):
                 qu = q[..., : 2 * R] * u[..., : 2 * R]
                 return (a * (qu[..., 0::2] + qu[..., 1::2])).sum(axis=-1)[..., None]
 
             delta, ph = self._planes(q, ts, theta, momentum)
-            J = -area(q)
-            if dq is not None:
-                ddelta, dJ = self._planes(dq, ts, theta, False)[0], -2.0 * area(dq)
+            J = -area(a, q, q)
+            if dPH is not None:
+                dq = np.einsum("...ip,...i->...p", self.U, np.asarray(dPH, float))
+                ddelta = self._planes(dq, ts[r], theta[r], False)[0]
+                dJ = -2.0 * area(a[r], q[r], dq)
         else:
             z = ts * np.broadcast_to(self.sigma, tB.shape + self.sigma.shape[-1:])
-            s, e = ts * _trig.sinc(z), ts * ts * _trig.hv(z)
+            sz, hz = _trig.sinc(z), _trig.hv(z)
+            s, e = ts * sz, ts * ts * hz
             sq = s * q
             delta = self._spread(sq, e * q)
             if momentum:
                 ph = self._spread(np.cos(z) * q, sq)
             # [t^2 T1, t^3 T2, t^3 T3, t^4 T4], stacked as _K is
-            za, zb, tt = z[..., :, None], z[..., None, :], ts[..., None]
+            tt = ts[..., None]
+            prod = _trig.products(
+                z[..., :, None], z[..., None, :], sz[..., :, None], hz[..., :, None]
+            )
             T = np.empty(z.shape[:-1] + (4,) + 2 * z.shape[-1:])
-            np.multiply(tt**2, _trig.t1(za, zb), out=T[..., 0, :, :])
-            np.multiply(tt**3, _trig.t2(za, zb), out=T[..., 1, :, :])
-            np.multiply(tt**3, _trig.t3(za, zb), out=T[..., 2, :, :])
-            np.multiply(tt**4, _trig.t4(za, zb), out=T[..., 3, :, :])
+            np.multiply(tt**2, prod[0], out=T[..., 0, :, :])
+            np.multiply(tt**3, prod[1], out=T[..., 1, :, :])
+            np.multiply(tt**3, prod[2], out=T[..., 2, :, :])
+            np.multiply(tt**4, prod[3], out=T[..., 3, :, :])
             # the four terms of the stacked contraction are summed in order,
             # as four separate contractions would be
             Jk = np.einsum("...vkab,...ab,...kab->...vk", self._K, self._W, T)
             J = Jk[..., 0] + Jk[..., 1] + Jk[..., 2] + Jk[..., 3]
-            if dq is not None:
-                G = np.einsum("...vkab,...kab->...vab", self._K, T)
-                Gq = np.einsum("...vab,...b->...va", G + np.swapaxes(G, -1, -2), q)
-                ddelta = self._spread(s * dq, e * dq)
+            if dPH is not None:
+                dq = np.einsum("...ip,...i->...p", self.U[r], np.asarray(dPH, float))
+                G = np.einsum("...vkab,...kab->...vab", self._K[r], T[r])
+                Gq = np.einsum("...vab,...b->...va", G + np.swapaxes(G, -1, -2), q[r])
+                ddelta = self._spread(s[r] * dq, e[r] * dq, r)
                 dJ = np.einsum("...va,...a->...v", Gq, dq)
         I = np.einsum("...vj,...j->...v", self._CHx0, delta) + J
-        if dq is None:
+        if dPH is None:
             return delta, ph, I, None
-        dI = np.einsum("...vj,...j->...v", self._CHx0, ddelta) + dJ
+        dI = np.einsum("...vj,...j->...v", self._CHx0[r], ddelta) + dJ
         return delta, ph, I, (ddelta, dI)
 
-    def _spread(self, a, b):
-        """U a - M U b, back from eigenbasis coefficients a and b."""
-        return np.einsum("...ip,...p->...i", self.U, a) - np.einsum(
-            "...ik,...kp,...p->...i", self.M, self.U, b
+    def _spread(self, a, b, r=Ellipsis):
+        """U a - M U b, back from eigenbasis coefficients a and b, with U
+        and M of the rows ``r`` of the batch's leading axis."""
+        return np.einsum("...ip,...p->...i", self.U[r], a) - np.einsum(
+            "...ik,...kp,...p->...i", self.M[r], self.U[r], b
         )
 
     def _planes(self, q, ts, theta, momentum):
@@ -342,9 +358,12 @@ class ClosedFormPath:
         dPH, shape (j,) + B + (n,), exact by polarization (see the module
         docstring), from the factors that give x(t).
         """
+        return self._jet(t, dPH, False)
+
+    def _jet(self, t, dPH, first):
+        """``jet``; with ``first`` its derivatives on row 0 alone (``_evaluate``)."""
         h = self.group.h
-        dq = np.einsum("...ip,...i->...p", self.U, np.asarray(dPH, dtype=float))
-        delta, _, I, (ddelta, dI) = self._evaluate(t, dq=dq)
+        delta, _, I, (ddelta, dI) = self._evaluate(t, dPH=dPH, first=first)
         xv = self.x0[..., h:] - 0.5 * I
         x = np.concatenate([self.x0[..., :h] + delta, xv], axis=-1)
         return x, np.concatenate([ddelta, -0.5 * dI], axis=-1)

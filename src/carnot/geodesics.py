@@ -131,6 +131,15 @@ def normal_rhs(group: CarnotGroup, x, P):
     return out[..., 0, :], out[..., 1, :]
 
 
+def _grid(T, steps):
+    """The uniform grid 0..T of ``steps`` steps; NonFiniteState unless T is
+    finite."""
+    T = float(T)
+    if not np.isfinite(T):
+        raise NonFiniteState("T must be finite, got %r" % T)
+    return np.linspace(0.0, T, max(int(steps), 0) + 1)
+
+
 def _rk4(rhs, y0, times):
     """Fixed-step RK4 on the uniform grid ``times``, storing every node; y
     may have any shape. ``rhs(y, s)`` also gets the stage's index s on the
@@ -181,11 +190,12 @@ def integrate_normal(
     """RK4 integration of the normal system on a uniform grid.
 
     ``x0`` and ``P0`` broadcast against each other and may carry batch axes;
-    the sampled arrays then have shape (steps+1, ..., n).
+    the sampled arrays then have shape (steps+1, ..., n). A non-finite T,
+    or a flow that leaves the floats, raises NonFiniteState.
     """
     x0 = group.point(np.asarray(x0, dtype=float))
     P0 = group.point(np.asarray(P0, dtype=float))
-    times = np.linspace(0.0, float(T), max(int(steps), 0) + 1)
+    times = _grid(T, steps)
     ys = _rk4(_normal_flow(group), _stacked(x0, P0), times)
     xs = ys[..., 0, :]
     ps = ys[..., 1, :]
@@ -207,7 +217,7 @@ def integrate_stepwise(
     below it algebraic: P_{k-1}(t) = P_{k-1}(0) - (C(P_k)(x(t) - x(0)))_{k-1}.
     So RK4 advances x and only the momentum layers below k - 1; on step 2
     that is x alone. Results land on the same uniform grid as
-    ``integrate_normal`` for direct comparison.
+    ``integrate_normal`` for direct comparison, with its NonFiniteState.
     """
     x0 = group.point(np.asarray(x0, dtype=float))
     P0 = group.point(np.asarray(P0, dtype=float))
@@ -237,7 +247,7 @@ def integrate_stepwise(
         return d.reshape(d.shape[:-2] + (2 * n,))[..., : n + lo]
 
     y0 = np.concatenate([x0, P0[..., :lo]], axis=-1)
-    times = np.linspace(0.0, float(T), max(int(steps), 0) + 1)
+    times = _grid(T, steps)
     ys = _rk4(rhs, y0, times)
     xs = ys[..., :n]
     ps = state(xs, ys[..., n:])[..., 1, :]

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     Characteristic,
     NoConvergence,
+    NonFiniteState,
     NotOnSurface,
     OutsideChart,
     ZeroGradient,
@@ -174,13 +175,20 @@ def _normal_split(group, g):
     return nu, nuH, varpi, char, ghn / gn
 
 
+def _check_finite(x, what):
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteState("%s must be finite" % what)
+
+
 def surface_normals(group, field, x):
     """Normal data of {f=0} at x; the characteristic case is a flag.
 
     x need not lie on the surface: the construction only uses f's gradient,
-    so it applies to every level set through x.
+    so it applies to every level set through x. A non-finite x raises
+    NonFiniteState.
     """
     require_step2(group, "surface normals")
+    _check_finite(x, "the point")
     g = frame_gradient(group, field, x)
     if g.ndim != 1:
         raise ValueError("surface_normals takes a single point")
@@ -191,6 +199,7 @@ def surface_normals(group, field, x):
 
 
 def _check_on_surface(field, y):
+    _check_finite(y, "the surface point")
     val = np.abs(field.value(y))
     scale = 1.0 + np.linalg.norm(np.asarray(y, dtype=float), axis=-1)
     if np.any(val > ON_SURFACE_TOL * scale):
@@ -203,14 +212,17 @@ def metric_normal(group, field, y, t_range=(-1.0, 1.0), samples=201, sign=1):
     """The metric normal geodesic through surface point y as a trace.
 
     The momentum is sign * N(y); both orientations trace the same set. With
-    varpi = 0 the curve is the straight one-parameter subgroup line.
+    varpi = 0 the curve is the straight one-parameter subgroup line. A
+    non-finite y or end of t_range raises NonFiniteState.
     """
     require_step2(group, "metric normal")
     y = group.point(np.asarray(y, dtype=float))
     _check_on_surface(field, y)
+    t0, t1 = float(t_range[0]), float(t_range[1])
+    _check_finite((t0, t1), "t_range")
     data = surface_normals(group, field, y)
     P0 = float(sign) * data.N
-    times = np.linspace(float(t_range[0]), float(t_range[1]), int(samples))
+    times = np.linspace(t0, t1, int(samples))
     path = ClosedFormPath(group=group, x0=y, P0=P0)
     xs, ps = path.point(times, return_momentum=True)
     meta = {
@@ -360,7 +372,8 @@ def build_chart(group, field, base, radius=0.5, eps0=0.5):
     standard starting guess; that is exactly the property later queries
     rely on. Probing also certifies the patch stays clear of the
     characteristic set. Below eps0 2^-12 it gives up with NoConvergence.
-    Raises ValueError unless radius and eps0 are finite and positive.
+    Raises ValueError unless radius and eps0 are finite and positive, and
+    NonFiniteState for a non-finite base.
     """
     require_step2(group, "tubular chart")
     for name, value in (("radius", radius), ("eps0", eps0)):

@@ -255,9 +255,11 @@ def test_target_certified_by_its_first_start_opens_no_other(monkeypatch):
 
 
 def test_one_build_gives_the_endpoint_and_every_column():
-    # the stacked build's row 0 is a jet of the covectors Q alone at time 1
-    # along the unit horizontal momenta, and its Q_V columns are differences
-    # of separately built perturbed ones
+    # the stacked build's row 0 is a jet of the covectors alone along the
+    # unit horizontal momenta, and its P_V columns are differences of
+    # separately built perturbed ones, bit for bit: in shooting's call shape
+    # (a batch of covectors at time 1 from the origin) and in the conjugate
+    # scan's (one covector from a point off the origin on a grid of times)
     g = random_two_step(4, 3, np.random.default_rng(21))
     h, v, n = g.h, g.v, g.n
     rng = np.random.default_rng(22)
@@ -266,28 +268,32 @@ def test_one_build_gives_the_endpoint_and_every_column():
     eta = rng.normal(size=(24, v)) * np.array([0.3, 2.0, 0.02])
     T = rng.uniform(0.2, 3.0, 24)
     Q = T[:, None] * np.concatenate([w, eta], axis=1)
-    x0 = np.zeros(n)
-    x, dH = distance.ClosedFormPath(group=g, x0=x0, P0=Q).jet(
-        1.0, np.eye(h)[:, None]
-    )
+    origin, x0 = np.zeros(n), rng.uniform(-1.0, 1.0, n)
+    ts = np.linspace(0.0, 6.0, 41)[1:]
+    cases = [(origin, Q, 1.0, False), (origin, Q, 1.0, True), (x0, Q[5], ts, True)]
+    for x0, P, t, central in cases:
+        x, dH = distance.ClosedFormPath(group=g, x0=x0, P0=P).jet(
+            t, np.eye(h)[:, None]
+        )
 
-    def shifted(a, step):
-        P = Q.copy()
-        P[:, h + a] += step
-        return distance.ClosedFormPath(group=g, x0=x0, P0=P).point(1.0)
+        def shifted(a, step):
+            Ps = P.copy()
+            Ps[..., h + a] += step
+            return distance.ClosedFormPath(group=g, x0=x0, P0=Ps).point(t)
 
-    for central in (False, True):
-        xj, J = distance._exp_jacobian(g, x0, Q, 1.0, central)
+        xj, J = distance._exp_jacobian(g, x0, P, t, central)
         assert np.array_equal(xj, x)
-        assert np.array_equal(J[:, :, :h], np.moveaxis(dH, 0, 2))
+        assert np.array_equal(J[..., :h], np.moveaxis(dH, 0, -1))
         step = distance.CENTRAL_STEP if central else 1e-6
-        se = step * np.maximum(1.0, np.abs(Q[:, h:]))
+        se = step * np.maximum(1.0, np.abs(P[..., h:]))
         for a in range(v):
             if central:
-                col = (shifted(a, se[:, a]) - shifted(a, -se[:, a])) / (2 * se[:, a, None])
+                col = (shifted(a, se[..., a]) - shifted(a, -se[..., a])) / (
+                    2 * se[..., a, None]
+                )
             else:
-                col = (shifted(a, se[:, a]) - x) / se[:, a, None]
-            assert np.array_equal(J[:, :, h + a], col)
+                col = (shifted(a, se[..., a]) - x) / se[..., a, None]
+            assert np.array_equal(J[..., h + a], col)
 
 
 @pytest.mark.parametrize(

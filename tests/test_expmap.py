@@ -80,6 +80,23 @@ def test_product_kernels_match_quadrature(za, zb):
     assert abs(_trig.t4(za, zb) - ref4) < 1e-8
 
 
+def test_product_kernel_on_a_grid_matches_each_pair():
+    # one call on the h x h grid, with the frequencies' sinc and hv passed
+    # in, against one call per pair: every branch (neither frequency below
+    # CUT, only za, only zb, both) meets the moments on either side of
+    # their series radius 6
+    z = np.array([0.0, 0.013, -0.019, 0.021, 0.7, -3.2, 5.99, -6.01, 11.0, 40.0])
+    grid = _trig.products(
+        z[:, None], z[None, :], _trig.sinc(z)[:, None], _trig.hv(z)[:, None]
+    )
+    assert grid.shape == (4, z.size, z.size)
+    for i, za in enumerate(z):
+        for j, zb in enumerate(z):
+            assert np.array_equal(grid[:, i, j], _trig.products(za, zb))
+    for k, tk in enumerate([_trig.t1, _trig.t2, _trig.t3, _trig.t4]):
+        assert np.array_equal(tk(z[:, None], z[None, :]), grid[k])
+
+
 def test_moments_match_quadrature():
     for z in [0.0, 0.3, 5.9, 6.1, 30.0, -12.0]:
         for k in range(9):
@@ -293,10 +310,10 @@ def test_with_horizontal_matches_a_fresh_build(g):
 
 
 def test_corank1_needs_no_product_integrals(monkeypatch):
-    def refuse(za, zb):
+    def refuse(*args):
         raise AssertionError("product integral on corank 1")
 
-    for name in ["t1", "t2", "t3", "t4"]:
+    for name in ["t1", "t2", "t3", "t4", "products"]:
         monkeypatch.setattr(_trig, name, refuse)
     g = hn(2)
     x0, P0, t, dPH = jet_case(g, np.random.default_rng(44), 8, 1.0)

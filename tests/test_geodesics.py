@@ -194,6 +194,14 @@ def test_nonfinite_detection():
         integrate_normal(g, np.zeros(3), [1e200, 0.0, 1e200], 10.0, 50)
 
 
+@pytest.mark.parametrize("T", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("integrate", [integrate_normal, integrate_stepwise])
+def test_non_finite_T_raises(integrate, T):
+    # linspace warns on an infinite end, so T is refused before the grid
+    with pytest.raises(NonFiniteState):
+        integrate(h1(), np.zeros(3), [1.0, 0.0, 0.0], T, 10)
+
+
 def test_too_few_samples():
     g = h1()
     with pytest.raises(TooFewSamples):

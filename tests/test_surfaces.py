@@ -12,6 +12,7 @@ import pytest
 from carnot.distance import distance_point
 from carnot.errors import (
     Characteristic,
+    NonFiniteState,
     NotOnSurface,
     OutsideChart,
     ZeroGradient,
@@ -132,6 +133,29 @@ def test_metric_normal_gates():
         metric_normal(g, f3, [0.0, 0.0, 0.5])
     with pytest.raises(Characteristic):
         metric_normal(g, f3, np.zeros(3))
+
+
+def _chart(g, field, base):
+    return build_chart(g, field, base, radius=0.2, eps0=0.2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [metric_normal, surface_normals, _chart],
+    ids=["metric_normal", "surface_normals", "build_chart"],
+)
+def test_non_finite_base_raises(call, bad):
+    # f = x1 is nan at a nan point, and nan > tol is False, so the point
+    # itself must be refused
+    with pytest.raises(NonFiniteState):
+        call(h1(), plane(3, 1), np.array([bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("t_range", [(-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0)])
+def test_metric_normal_non_finite_t_range_raises(t_range):
+    with pytest.raises(NonFiniteState):
+        metric_normal(h1(), plane(3, 1), np.zeros(3), t_range=t_range)
 
 
 def test_hyperplane_chart_is_exact():
