@@ -265,7 +265,9 @@ def gauss_system_integrate(group, x0, nuH0, varpi0, r, steps=2000):
     The system is dx = L(x) nu_H, dnu_H = -C_H(varpi) nu_H (second-layer
     slice of varpi only) and dvarpi = the vertical rows of -C(varpi) nu_H.
     Higher layers have no horizontal blocks, so this is the normal flow of
-    the covector P = (nu_H, varpi), integrated by ``integrate_normal``.
+    the covector P = (nu_H, varpi), integrated by ``integrate_normal``:
+    ``meta["method"]`` is "closed-form-orthogonality" on corank 1, where
+    that is the closed form, and "rk4-orthogonality" elsewhere.
     """
     nuH0 = np.asarray(nuH0, dtype=float)
     varpi0 = np.asarray(varpi0, dtype=float)
@@ -283,7 +285,8 @@ def gauss_system_integrate(group, x0, nuH0, varpi0, r, steps=2000):
         axis=-1,
     )
     trace = integrate_normal(group, x0, P0, r, steps)
-    trace.meta["method"] = "rk4-orthogonality"
+    rk4 = trace.meta["method"] == "rk4-normal"
+    trace.meta["method"] = "rk4-orthogonality" if rk4 else "closed-form-orthogonality"
     return trace
 
 
@@ -775,8 +778,9 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
     Reduces every target to the origin by left translation. On corank-1
     groups each target is solved exactly (``starts`` and ``max_iter`` are
     not used) and counts as converged when the returned covector reaches it
-    within ROOT_TOL relative to max(1, |z|), a residual that overflows
-    counting as a miss. On corank >= 2 the multi-start
+    within ROOT_TOL relative to max(1, |z|), both norms scaled so that they
+    do not overflow, and a non-finite endpoint counting as a miss. On
+    corank >= 2 the multi-start
     shooting solver runs on the whole batch, each target from its first
     start alone, the others opening where that finds no certified root
     (turning less than a full period of its fastest rotation), and until
@@ -828,9 +832,16 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
             T, P0, mult = _corank1(group, sub)
             with np.errstate(over="ignore"):
                 reached = exp_sr_2step(group, np.zeros(n), P0, T)
-                res = np.linalg.norm(reached - sub, axis=1)
-                scale = np.maximum(1.0, np.linalg.norm(sub, axis=1))
-            found = np.isfinite(res) & (res <= ROOT_TOL * scale)
+                # each row divided by one power of 2 from its largest |z|,
+                # never below 2^0, keeps the squares in both norms finite; it
+                # is exact, and rows with |z| < 2 are not touched
+                k = np.maximum(np.frexp(np.abs(sub).max(axis=1))[1] - 1, 0)
+                res = np.linalg.norm(np.ldexp(reached - sub, -k[:, None]), axis=1)
+                scale = np.maximum(
+                    1.0, np.linalg.norm(np.ldexp(sub, -k[:, None]), axis=1)
+                )
+                found = np.isfinite(res) & (res <= ROOT_TOL * scale)
+                res = np.ldexp(res, k)
         else:
             T, P0, res, mult, found = _shooting(group, sub, starts, max_iter)
         sel = np.nonzero(todo)[0]

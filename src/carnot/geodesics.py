@@ -9,21 +9,32 @@ conserves |P_H| and the energy |P_H|^2 / 2, and the top-layer momentum
 components are constant because the grading leaves no structure constants
 that could move them.
 
-``integrate_normal`` is a fixed-step RK4 scheme over a uniform grid; initial
-data may carry leading batch axes, in which case the whole batch is advanced
-in lock step (the acceptance sweeps rely on this). ``integrate_stepwise``
-exploits the grading instead, on any step k: the momentum of layer k - 1 is
-an algebraic function of position, so only x and the momentum layers below
-k - 1 are integrated; on step 2 that leaves an ODE in x alone.
+``integrate_normal`` samples the flow on a uniform grid; initial data may
+carry leading batch axes, in which case the whole batch is advanced in lock
+step (the acceptance sweeps rely on this). On step-2 groups of corank 1
+(every Heisenberg group) the paper gives the flow in closed form (Section
+"ipoo"): each canonical plane of C^1 turns at its own frequency (Gaveau,
+Acta Math. 1977), and ``carnot.expmap.ClosedFormPath`` evaluates it, exact
+up to rounding. There ``integrate_normal`` returns those samples, since RK4
+only reproduces them to rounding at about four times the cost; it evaluates
+CLOSED_FORM_CHUNK times at a time, which bounds the temporaries without
+changing a bit. Every other group, corank >= 2 on step 2 included (its
+closed form pays the h x h product integrals at every sample and is slower
+there), is advanced by a fixed-step RK4 scheme, ``_integrate_rk4``.
+``integrate_stepwise`` checks the paper's step-by-step integration (Section
+"appe") on any step k: the momentum of layer k - 1 is an algebraic function
+of position, so only x and the momentum layers below k - 1 are integrated;
+on step 2 that leaves an ODE in x alone.
 
-Both step one kernel (``_normal_flow``), built once per call. It writes
-(dx, dP) into a single (..., 2, n) array and touches only the blocks that
-can be nonzero: dx_H = P_H; dx_V is the frame's series N(x) P_H, whose first
-term contracts the rows C^alpha_{IJ} with I horizontal and whose later terms
-stay on the vertical rows; dP = -C(P_V) P_H contracts the horizontal columns
-of C only. So no RK4 stage pads P_H with zeros, copies it through
-``frame_apply`` or stacks dx and dP, and the bits are those of the padded
-form: dropping exact zeros from a sum leaves it unchanged.
+Both RK4 integrators step one kernel (``_normal_flow``), built once per
+call. It writes (dx, dP) into a single (..., 2, n) array and touches only
+the blocks that can be nonzero: dx_H = P_H; dx_V is the frame's series
+N(x) P_H, whose first term contracts the rows C^alpha_{IJ} with I
+horizontal and whose later terms stay on the vertical rows;
+dP = -C(P_V) P_H contracts the horizontal columns of C only. So no RK4
+stage pads P_H with zeros, copies it through ``frame_apply`` or stacks dx
+and dP, and the bits are those of the padded form: dropping exact zeros
+from a sum leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ import numpy as np
 
 from . import groups
 from .errors import NonFiniteState, TooFewSamples
+from .expmap import ClosedFormPath
 # frame_apply is not called here; perfbench/spans.py wraps it in every module
 # that imports it, and its self-tests look it up in this one
 from .groups import CarnotGroup, frame_apply  # noqa: F401
@@ -45,6 +57,10 @@ __all__ = [
     "integrate_normal",
     "integrate_stepwise",
 ]
+
+# times per closed-form evaluation: whole-grid temporaries would raise the
+# peak memory of a long grid, and a sample's bits do not depend on the others
+CLOSED_FORM_CHUNK = 128
 
 
 @dataclass
@@ -133,11 +149,13 @@ def normal_rhs(group: CarnotGroup, x, P):
 
 def _grid(T, steps):
     """The uniform grid 0..T of ``steps`` steps; NonFiniteState unless T is
-    finite."""
+    finite, then TooFewSamples unless steps >= 1."""
     T = float(T)
     if not np.isfinite(T):
         raise NonFiniteState("T must be finite, got %r" % T)
-    return np.linspace(0.0, T, max(int(steps), 0) + 1)
+    if int(steps) < 1:
+        raise TooFewSamples("integration needs at least one step")
+    return np.linspace(0.0, T, int(steps) + 1)
 
 
 def _rk4(rhs, y0, times):
@@ -184,28 +202,60 @@ def _conservation_meta(group: CarnotGroup, times, xs, ps) -> dict:
     }
 
 
+def _trace(group, method, times, xs, ps) -> GeodesicTrace:
+    meta = {
+        "group": group.name,
+        "method": method,
+        "steps": len(times) - 1,
+        **_conservation_meta(group, times, xs, ps),
+    }
+    return GeodesicTrace(times, xs, ps, meta, group=group)
+
+
+def _closed_form(group, x0, P0, times):
+    """Step 2, corank 1: the closed-form samples (xs, ps) on ``times``,
+    CLOSED_FORM_CHUNK times per evaluation; NonFiniteState if a sample
+    leaves the floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = ClosedFormPath(group=group, x0=x0, P0=P0)
+        ts = times.reshape(times.shape + (1,) * len(path.batch))
+        xs = np.empty(times.shape + path.batch + (group.n,))
+        ps = np.empty_like(xs)
+        for i in range(0, len(times), CLOSED_FORM_CHUNK):
+            c = slice(i, i + CLOSED_FORM_CHUNK)
+            xs[c], ps[c] = path.point(ts[c], return_momentum=True)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ps))):
+        raise NonFiniteState("the closed form produced non-finite values")
+    return xs, ps
+
+
+def _integrate_rk4(group, x0, P0, times) -> GeodesicTrace:
+    """RK4 on the uniform grid ``times``, on any group: ``integrate_normal``
+    everywhere but on step-2 corank-1 groups, where it checks the closed
+    form."""
+    ys = _rk4(_normal_flow(group), _stacked(x0, P0), times)
+    return _trace(group, "rk4-normal", times, ys[..., 0, :], ys[..., 1, :])
+
+
 def integrate_normal(
     group: CarnotGroup, x0, P0, T: float, steps: int
 ) -> GeodesicTrace:
-    """RK4 integration of the normal system on a uniform grid.
+    """The normal flow sampled on the uniform grid of ``steps`` steps to T.
 
-    ``x0`` and ``P0`` broadcast against each other and may carry batch axes;
-    the sampled arrays then have shape (steps+1, ..., n). A non-finite T,
-    or a flow that leaves the floats, raises NonFiniteState.
+    On step-2 corank-1 groups the samples are the closed form's, exact up
+    to rounding (``meta["method"]`` is "closed-form"); on every other group
+    they are RK4's ("rk4-normal"). See the module docstring for why.
+    ``x0`` and ``P0`` broadcast against each other and may carry batch
+    axes; the sampled arrays then have shape (steps+1, ..., n). A
+    non-finite T, or a flow that leaves the floats, raises NonFiniteState,
+    and steps < 1 TooFewSamples.
     """
     x0 = group.point(np.asarray(x0, dtype=float))
     P0 = group.point(np.asarray(P0, dtype=float))
     times = _grid(T, steps)
-    ys = _rk4(_normal_flow(group), _stacked(x0, P0), times)
-    xs = ys[..., 0, :]
-    ps = ys[..., 1, :]
-    meta = {
-        "group": group.name,
-        "method": "rk4-normal",
-        "steps": int(steps),
-        **_conservation_meta(group, times, xs, ps),
-    }
-    return GeodesicTrace(times, xs, ps, meta, group=group)
+    if group.step == 2 and group.v == 1:
+        return _trace(group, "closed-form", times, *_closed_form(group, x0, P0, times))
+    return _integrate_rk4(group, x0, P0, times)
 
 
 def integrate_stepwise(
@@ -213,11 +263,16 @@ def integrate_stepwise(
 ) -> GeodesicTrace:
     """Layer-by-layer integration of the normal flow, any step k.
 
-    The top-layer momentum P_k is constant, and the grading makes the layer
-    below it algebraic: P_{k-1}(t) = P_{k-1}(0) - (C(P_k)(x(t) - x(0)))_{k-1}.
-    So RK4 advances x and only the momentum layers below k - 1; on step 2
-    that is x alone. Results land on the same uniform grid as
-    ``integrate_normal`` for direct comparison, with its NonFiniteState.
+    A check of the paper's step-by-step integration (Section "appe"), not a
+    shortcut. The top-layer momentum P_k is constant, and the grading makes
+    the layer below it algebraic:
+    P_{k-1}(t) = P_{k-1}(0) - (C(P_k)(x(t) - x(0)))_{k-1}. So RK4 advances
+    x and only the momentum layers below k - 1; on step 2 that is x alone.
+    Each stage rebuilds the full (x, P) for the kernel, which costs more
+    than the layers it saves: on hn(3), 32 rows x 1500 steps took 223-232
+    ms against full RK4's 135-139 ms. Results land on the same uniform grid
+    as ``integrate_normal`` for direct comparison, with its NonFiniteState
+    and TooFewSamples.
     """
     x0 = group.point(np.asarray(x0, dtype=float))
     P0 = group.point(np.asarray(P0, dtype=float))
@@ -251,11 +306,5 @@ def integrate_stepwise(
     ys = _rk4(rhs, y0, times)
     xs = ys[..., :n]
     ps = state(xs, ys[..., n:])[..., 1, :]
-    meta = {
-        "group": group.name,
-        "method": "stepwise",
-        "steps": int(steps),
-        **_conservation_meta(group, times, xs, ps),
-    }
-    return GeodesicTrace(times, xs, ps, meta, group=group)
+    return _trace(group, "stepwise", times, xs, ps)
 

@@ -450,9 +450,14 @@ def _chart_membership(chart, u, t):
 
 
 def phi_map(chart, y, t):
-    """Phi(y, t) = exp(y, N(y))(t) for a surface point inside the patch."""
+    """Phi(y, t) = exp(y, N(y))(t) for a surface point inside the patch.
+
+    A non-finite y or t raises NonFiniteState, a t beyond the chart's
+    half-width OutsideChart.
+    """
     y = chart.group.point(np.asarray(y, dtype=float))
     _check_on_surface(chart.field, y)
+    _check_finite(t, "the normal time")
     u = (y - chart.base) @ chart.E
     ys = chart.surface_point(np.atleast_2d(u))[0]
     if np.linalg.norm(ys - y) > 1e-6 * (1.0 + np.linalg.norm(y)):
@@ -482,13 +487,15 @@ def project_to_surface(chart, x):
     t carries the orientation sign (positive on the f > 0 side); |t| is the
     horizontal distance to the surface inside the chart. Points the Newton
     iteration cannot reach raise NoConvergence, solutions landing beyond
-    the patch or the half-width raise OutsideChart.
+    the patch or the half-width raise OutsideChart, and a non-finite x
+    raises NonFiniteState.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     xs = np.atleast_2d(x)
     if xs.shape[1] != chart.group.n:
         raise ValueError("expected %d coordinates" % chart.group.n)
+    _check_finite(xs, "the query point")
     u0, t0 = _default_start(chart, xs)
     u, t, fn, conv = _invert_batch(chart, xs, u0, t0)
     if not conv.all():

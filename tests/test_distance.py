@@ -482,7 +482,11 @@ def test_rejects_higher_step_and_bad_width():
 
 def test_gauss_system_matches_normal_flow():
     rng = np.random.default_rng(10)
-    for g in (h1(), hn(2), random_two_step(3, 2, rng)):
+    for g, method in (
+        (h1(), "closed-form-orthogonality"),
+        (hn(2), "closed-form-orthogonality"),
+        (random_two_step(3, 2, rng), "rk4-orthogonality"),
+    ):
         x0 = rng.normal(size=g.n) * 0.5
         nu = rng.normal(size=g.h)
         nu /= np.linalg.norm(nu)
@@ -493,7 +497,7 @@ def test_gauss_system_matches_normal_flow():
         )
         assert np.max(np.abs(a.xs - xs)) < 1e-10
         assert np.max(np.abs(a.ps - ps)) < 1e-10
-        assert a.meta["method"] == "rk4-orthogonality"
+        assert a.meta["method"] == method
 
 
 def test_gauss_system_zero_covector_is_straight():
@@ -659,11 +663,26 @@ def test_on_axis_is_scale_free():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_corank1_non_finite_residual_is_not_converged():
-    # the reach check's residual overflows here; it must not pass for a root
-    batch = distance_batch(h1(), np.zeros(3), [[1e150, 0.0, 1e300], [0.0, 0.0, 1e200]])
+    # the closed form overflows evaluating this root's endpoint (T = 1.1e154);
+    # a non-finite residual must not pass for a root
+    batch = distance_batch(h1(), np.zeros(3), [[0.0, 0.0, 1e307]])
     assert not batch.converged.any() and not batch.certified.any()
     with pytest.raises(NoConvergence):
         batch.solution(0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_corank1_reach_check_does_not_overflow():
+    # above |z| = 1e154 the squares in unscaled norms overflow; these targets
+    # are solved exactly and must read converged
+    g = h1()
+    Y = np.array([[0.0, 0.0, 1e200], [1e150, 0.0, 1e300]])
+    batch = distance_batch(g, np.zeros(3), Y)
+    assert batch.converged.all() and np.isfinite(batch.residual).all()
+    for i, y in enumerate(Y):
+        sol = batch.solution(i)
+        reached = exp_sr_2step(g, np.zeros(3), sol.P0, sol.T)
+        assert np.max(np.abs(reached - y)) <= distance.ROOT_TOL * np.max(np.abs(y))
 
 
 def test_normal_geodesic_minimizes_up_to_the_fastest_turn():

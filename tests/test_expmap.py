@@ -7,7 +7,7 @@ from carnot import _trig
 from carnot.distance import distance_point
 from carnot.errors import NotSkew, WrongStep
 from carnot.expmap import ClosedFormPath, exp_sr_2step, skew_canonical
-from carnot.geodesics import integrate_normal
+from carnot.geodesics import _integrate_rk4, integrate_normal
 from carnot.groups import (
     build_group,
     c_operator,
@@ -165,7 +165,7 @@ def test_matches_rk4_endpoints():
         x0 = g.point(0.3 * rng.normal(size=g.n))
         P0 = rng.normal(size=(2, g.n))
         for T in [1.3, -0.9]:
-            trace = integrate_normal(g, x0, P0, T, steps=2500)
+            trace = _integrate_rk4(g, x0, P0, np.linspace(0.0, T, 2501))
             x, P = exp_sr_2step(g, x0, P0, T, return_momentum=True)
             assert np.max(np.abs(trace.xs[-1] - x)) < 1e-8
             assert np.max(np.abs(trace.ps[-1] - P)) < 1e-8
@@ -418,7 +418,7 @@ def test_tiny_frequency_group_exp_and_distance():
     g = tiny_frequency_group()
     x0 = np.zeros(g.n)
     P0 = np.array([0.6, 0.0, 0.8, 0.0, 0.0, 2.0])
-    trace = integrate_normal(g, x0, P0, 1.5, steps=3000)
+    trace = _integrate_rk4(g, x0, P0, np.linspace(0.0, 1.5, 3001))
     y = exp_sr_2step(g, x0, P0, 1.5)
     assert np.max(np.abs(trace.xs[-1] - y)) < 1e-12
     # the fast plane turns by 3 < 2 pi, so the planted curve is the minimizer

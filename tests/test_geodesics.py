@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from carnot.errors import NonFiniteState, TooFewSamples
+from carnot.expmap import exp_sr_2step
 from carnot.geodesics import (
+    CLOSED_FORM_CHUNK,
+    _integrate_rk4,
     integrate_normal,
     integrate_stepwise,
     normal_rhs,
@@ -112,7 +115,7 @@ def test_normal_rhs_is_the_padded_frame_and_contraction():
 def test_batch_rows_integrate_alone():
     # a row's bits do not depend on the other rows of its batch
     rng = np.random.default_rng(13)
-    for g in (random_two_step(4, 2, rng), engel()):
+    for g in (random_two_step(4, 2, rng), engel(), hn(2)):
         x0 = 0.3 * rng.standard_normal((2, 3, g.n))
         P0 = rng.standard_normal((2, 3, g.n))
         for integrate in (integrate_normal, integrate_stepwise):
@@ -122,6 +125,35 @@ def test_batch_rows_integrate_alone():
                     row = integrate(g, x0[i, j], P0[i, j], 1.2, 150)
                     assert np.array_equal(row.xs, whole.xs[:, i, j])
                     assert np.array_equal(row.ps, whole.ps[:, i, j])
+
+
+def corank1_draws(rng):
+    """h1, hn(2) and hn(3) with a (3, 4) batch of x0 != 0 and covectors."""
+    for g in (h1(), hn(2), hn(3)):
+        yield g, 0.4 * rng.standard_normal((3, 4, g.n)), rng.standard_normal((3, 4, g.n))
+
+
+def test_corank1_flow_is_the_closed_form():
+    # evaluated in chunks, the samples are one closed-form call's to the bit
+    rng = np.random.default_rng(41)
+    steps = 2 * CLOSED_FORM_CHUNK + 50
+    for g, x0, P0 in corank1_draws(rng):
+        tr = integrate_normal(g, x0, P0, -1.3, steps)
+        assert tr.meta["method"] == "closed-form"
+        assert tr.xs.shape == (steps + 1, 3, 4, g.n)
+        x, P = exp_sr_2step(g, x0, P0, tr.times[:, None, None], return_momentum=True)
+        assert np.array_equal(tr.xs, x)
+        assert np.array_equal(tr.ps, P)
+
+
+def test_corank1_flow_matches_rk4():
+    rng = np.random.default_rng(43)
+    for g, x0, P0 in corank1_draws(rng):
+        tr = integrate_normal(g, x0, P0, -1.3, 1000)
+        rk = _integrate_rk4(g, x0, P0, tr.times)
+        assert rk.meta["method"] == "rk4-normal"
+        assert np.max(np.abs(tr.xs - rk.xs)) < 1e-9
+        assert np.max(np.abs(tr.ps - rk.ps)) < 1e-9
 
 
 def test_h1_integration_matches_analytic():
@@ -218,5 +250,7 @@ def test_trace_exports():
     first = [float(tok) for tok in lines[1].split()]
     np.testing.assert_allclose(first, [0, 0, 0, 0, 1, 0, 0.5], atol=1e-15)
     blob = json.loads(tr.as_json())
-    assert blob["meta"]["method"] == "rk4-normal"
+    assert blob["meta"]["method"] == "closed-form"
     assert len(blob["times"]) == 5
+    tr = integrate_normal(engel(), np.zeros(4), [1.0, 0.0, 0.5, 0.2], 1.0, 4)
+    assert json.loads(tr.as_json())["meta"]["method"] == "rk4-normal"

@@ -158,6 +158,27 @@ def test_metric_normal_non_finite_t_range_raises(t_range):
         metric_normal(h1(), plane(3, 1), np.zeros(3), t_range=t_range)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "query", [project_to_surface, delta_H, grad_delta_H],
+    ids=["project_to_surface", "delta_H", "grad_delta_H"],
+)
+def test_non_finite_query_point_raises(query, bad):
+    # nan stalls the Newton iteration and inf warns in its start, so the
+    # point itself must be refused
+    chart = _chart(h1(), plane(3, 1), np.zeros(3))
+    with pytest.raises(NonFiniteState):
+        query(chart, np.array([bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_phi_map_non_finite_time_raises(t):
+    # abs(nan) >= eps0 is False, so the half-width check alone lets nan by
+    chart = _chart(h1(), plane(3, 1), np.zeros(3))
+    with pytest.raises(NonFiniteState):
+        phi_map(chart, np.zeros(3), t)
+
+
 def test_hyperplane_chart_is_exact():
     g = h1()
     chart = build_chart(
