@@ -26,8 +26,7 @@ from .distance import (
     sphere_sample,
 )
 from .errors import CarnotError, NoConvergence, NonFiniteState
-from .expmap import ClosedFormPath
-from .geodesics import GeodesicTrace, integrate_normal, integrate_stepwise
+from .geodesics import GeodesicTrace, _closed_form, integrate_normal, integrate_stepwise
 from .groups import engel, h1, hn, load_group
 from .surfaces import (
     build_chart,
@@ -218,11 +217,8 @@ def cmd_exp(args):
     P0 = _parse_vector(args.p0, group.n, "--p0")
     if args.T <= 0.0 or args.samples < 2:
         raise ConfigError("need T > 0 and samples >= 2")
-    path = ClosedFormPath(group=group, x0=x0, P0=P0)
     times = np.linspace(0.0, args.T, args.samples)
-    # overflow shows up as non-finite samples, which _emit_trace rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        xs, ps = path.point(times, return_momentum=True)
+    xs, ps = _closed_form(group, x0, P0, times)
     meta = {"group": group.name, "method": "closed-form"}
     _emit_trace(GeodesicTrace(times, xs, ps, meta, group=group), args)
     return 0
@@ -390,15 +386,9 @@ def cmd_surface_metric_normal(args):
     y = _parse_vector(args.at, group.n, "--at")
     if args.samples < 2:
         raise ConfigError("need samples >= 2")
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = metric_normal(
-            group,
-            field,
-            y,
-            t_range=(args.t_min, args.t_max),
-            samples=args.samples,
-            sign=args.sign,
-        )
+    trace = metric_normal(
+        group, field, y, (args.t_min, args.t_max), args.samples, args.sign
+    )
     _emit_trace(trace, args)
     return 0
 

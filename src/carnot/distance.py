@@ -405,7 +405,7 @@ def _careful_step(group, J, x, y, lam, Q):
 
     delta = solve(x - y)
     Qp = Q + ACCEL_PROBE * delta
-    xp = ClosedFormPath(group=group, x0=np.zeros(group.n), P0=Qp).point(1.0)
+    xp = exp_sr_2step(group, np.zeros(group.n), Qp, 1.0)
     curv = (2.0 / ACCEL_PROBE) * (
         (xp - x) / ACCEL_PROBE - np.einsum("kri,ki->kr", J, delta)
     )
@@ -559,10 +559,16 @@ def _corank1(group, targets):
     targets reached on the boundary u = 2 pi / lambda_max (to rounding: their
     fastest-plane part is below AXIS_TOL of their horizontal part), where the
     direction in the fastest planes is free; they take u = 2 pi / lambda_max
-    and no Newton step.
+    and no Newton step. Each row is solved at unit scale: dilated by 2^-d,
+    with d from the larger of |z_H|_inf and sqrt |z_V| (rows below 2 are not
+    touched), so no square overflows; T scales back by 2^d and eta by 2^-d,
+    both exactly.
     """
     h, n = group.h, group.n
     m = targets.shape[0]
+    size = np.maximum(np.abs(targets[:, :h]).max(1), np.sqrt(np.abs(targets[:, h])))
+    d = np.maximum(np.frexp(size)[1] - 1, 0)
+    targets = np.ldexp(targets, -d[:, None] * group.growth.ord)
     form = _corank1_form(group)
     lam = form.lambdas
     R = lam.size
@@ -652,8 +658,8 @@ def _corank1(group, targets):
     T = np.linalg.norm(nuT, axis=1)
     P0 = np.empty((m, n))
     P0[:, :h] = (nuT / T[:, None]) @ form.O.T
-    P0[:, h] = sign * u / T
-    return T, P0, family
+    P0[:, h] = np.ldexp(sign * u / T, -d)
+    return np.ldexp(T, d), P0, family
 
 
 def _smallest(Ts, keep):
@@ -830,7 +836,7 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
         sub = reduced[todo]
         if group.v == 1:
             T, P0, mult = _corank1(group, sub)
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 reached = exp_sr_2step(group, np.zeros(n), P0, T)
                 # each row divided by one power of 2 from its largest |z|,
                 # never below 2^0, keeps the squares in both norms finite; it

@@ -64,9 +64,11 @@ exact derivatives along dP_H as above.
 All formulas are valid for negative t and broadcast over batches of
 covectors; t itself broadcasts against the batch shape, so a trailing grid
 axis on the batch gives whole trajectories in one call.
+
+A path is built one way, ``ClosedFormPath(group, x0, P0)``, and reached
+through ``exp_sr_2step``, the trace sampler of carnot.geodesics, or ``_jet``.
 """
 
-import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -178,7 +180,10 @@ class ClosedFormPath:
     integrals at once. On corank 1 there are no K tensors and no product
     integrals: U is the canonical basis O of C^1, one per group, and
     ``_evaluate`` works plane by plane in O(h) per point. A row's bits do
-    not depend on the other rows of its batch.
+    not depend on the other rows of its batch. ``__post_init__`` sets every
+    factor; ``with_horizontal`` is a fresh build. It, ``horizontal`` and
+    ``increments`` stay only for the benchmark's tracer, which wraps them by
+    name, until ROADMAP item 13 frees those names.
     """
 
     group: CarnotGroup
@@ -225,12 +230,8 @@ class ClosedFormPath:
             np.matmul(Ut, nCMU, out=self._K[..., 1, :, :])
             np.matmul(nMUt, CU, out=self._K[..., 2, :, :])
             np.matmul(nMUt, nCMU, out=self._K[..., 3, :, :])
-        self._bind(self.P0[..., :h])
-
-    def _bind(self, PH):
-        """Set q = U^T P_H(0) and, on corank >= 2, W = q q^T."""
-        self.q = np.einsum("...ip,...i->...p", self.U, PH)
-        if self.group.v > 1:
+        self.q = np.einsum("...ip,...i->...p", self.U, self.P0[..., :h])
+        if g.v > 1:
             self._W = self.q[..., :, None] * self.q[..., None, :]
 
     def _evaluate(self, t, momentum=False, dPH=None, first=False):
@@ -369,25 +370,16 @@ class ClosedFormPath:
         return x, np.concatenate([ddelta, -0.5 * dI], axis=-1)
 
     def with_horizontal(self, PH):
-        """Rebind the horizontal momentum, keeping the vertical spectral data.
-
-        Every eigendecomposition and kernel tensor depends only on (x0, P_V),
-        so a batch of fresh horizontal momenta (leading axes broadcasting
-        against the existing batch) shares all of it; ``_bind`` sets q and W.
-        """
+        """The path from the same x0 and P_V with horizontal momentum PH,
+        whose leading axes broadcast against the batch; a fresh build."""
         h, n = self.group.h, self.group.n
         PH = np.asarray(PH, dtype=float)
         if PH.shape[-1] != h:
             raise ValueError("expected %d horizontal components" % h)
-        clone = copy.copy(self)
-        batch = np.broadcast_shapes(self.batch, PH.shape[:-1])
-        P0 = np.empty(batch + (n,))
+        P0 = np.empty(np.broadcast_shapes(self.batch, PH.shape[:-1]) + (n,))
         P0[..., :h] = PH
         P0[..., h:] = self.P0[..., h:]
-        clone.batch = batch
-        clone.P0 = P0
-        clone._bind(PH)
-        return clone
+        return ClosedFormPath(group=self.group, x0=self.x0, P0=P0)
 
 
 def exp_sr_2step(group, x0, P0, t, return_momentum=False):

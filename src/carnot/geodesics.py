@@ -16,11 +16,14 @@ step (the acceptance sweeps rely on this). On step-2 groups of corank 1
 "ipoo"): each canonical plane of C^1 turns at its own frequency (Gaveau,
 Acta Math. 1977), and ``carnot.expmap.ClosedFormPath`` evaluates it, exact
 up to rounding. There ``integrate_normal`` returns those samples, since RK4
-only reproduces them to rounding at about four times the cost; it evaluates
-CLOSED_FORM_CHUNK times at a time, which bounds the temporaries without
-changing a bit. Every other group, corank >= 2 on step 2 included (its
-closed form pays the h x h product integrals at every sample and is slower
-there), is advanced by a fixed-step RK4 scheme, ``_integrate_rk4``.
+only reproduces them to rounding at about four times the cost. Every other
+group, corank >= 2 on step 2 included (its closed form pays the h x h
+product integrals at every sample and is slower there), is advanced by a
+fixed-step RK4 scheme, ``_integrate_rk4``. The closed-form samples come
+from one sampler, ``_closed_form``, which evaluates CLOSED_FORM_CHUNK times
+at a time, bounding the temporaries without changing a bit, and refuses
+samples that leave the floats; it also gives the metric normals of
+carnot.surfaces and the ``carnot exp`` traces on every step-2 group.
 ``integrate_stepwise`` checks the paper's step-by-step integration (Section
 "appe") on any step k: the momentum of layer k - 1 is an algebraic function
 of position, so only x and the momentum layers below k - 1 are integrated;
@@ -213,7 +216,7 @@ def _trace(group, method, times, xs, ps) -> GeodesicTrace:
 
 
 def _closed_form(group, x0, P0, times):
-    """Step 2, corank 1: the closed-form samples (xs, ps) on ``times``,
+    """Step 2: the closed-form samples (xs, ps) on ``times``,
     CLOSED_FORM_CHUNK times per evaluation; NonFiniteState if a sample
     leaves the floats."""
     with np.errstate(over="ignore", invalid="ignore"):

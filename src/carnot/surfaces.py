@@ -39,8 +39,8 @@ from .errors import (
     OutsideChart,
     ZeroGradient,
 )
-from .expmap import ClosedFormPath, require_step2
-from .geodesics import GeodesicTrace
+from .expmap import exp_sr_2step, require_step2
+from .geodesics import GeodesicTrace, _closed_form
 from .groups import CarnotGroup, _tangent_basis, frame_apply, left_frame
 
 __all__ = [
@@ -64,7 +64,8 @@ ON_SURFACE_TOL = 1e-9
 PROBE = 5  # points per axis of the chart's (u, t) probe grid
 PROJECT_TOL = 1e-13  # |f| relative to 1 + |y| at which projection stops
 INVERT_TOL = 1e-12  # |Phi(u, t) - x| relative to 1 + |x| at which inversion stops
-NEWTON_ITER = 60  # iteration cap of both Newton solves
+NEWTON_ITER = 60  # iteration cap of both Newton solves and of phi_map's u search
+_NO_NORMAL = "no horizontal normal at a characteristic point"
 
 
 @dataclass
@@ -154,25 +155,29 @@ class SurfaceNormalData:
     @property
     def N(self):
         if self.characteristic:
-            raise Characteristic(
-                "no horizontal normal at a characteristic point"
-            )
+            raise Characteristic(_NO_NORMAL)
         return np.concatenate([self.nuH, self.varpi])
 
 
 def _normal_split(group, g):
-    """Batched (nu, nuH, varpi, char mask) from frame gradients g."""
-    h = group.h
+    """Batched (nu, N, char mask, |g_H| / |g|) from frame gradients g, with
+    N = g / |g_H| = (nu_H, varpi) (g itself at characteristic points)."""
     gn = np.linalg.norm(g, axis=-1)
     if np.any(gn == 0.0):
         raise ZeroGradient("surface gradient vanishes at a queried point")
-    ghn = np.linalg.norm(g[..., :h], axis=-1)
+    ghn = np.linalg.norm(g[..., : group.h], axis=-1)
     char = ghn < CHARACTERISTIC_REL * gn
-    nu = g / gn[..., None]
-    safe = np.where(char, 1.0, ghn)
-    nuH = g[..., :h] / safe[..., None]
-    varpi = g[..., h:] / safe[..., None]
-    return nu, nuH, varpi, char, ghn / gn
+    N = g / np.where(char, 1.0, ghn)[..., None]
+    return g / gn[..., None], N, char, ghn / gn
+
+
+def _normal_covector(group, field, ys, message=_NO_NORMAL):
+    """N = (nu_H, varpi) at the points ys, batched; Characteristic with
+    ``message`` if one of them is characteristic."""
+    _, N, char, _ = _normal_split(group, frame_gradient(group, field, ys))
+    if np.any(char):
+        raise Characteristic(message)
+    return N
 
 
 def _check_finite(x, what):
@@ -192,10 +197,10 @@ def surface_normals(group, field, x):
     g = frame_gradient(group, field, x)
     if g.ndim != 1:
         raise ValueError("surface_normals takes a single point")
-    nu, nuH, varpi, char, frac = _normal_split(group, g)
+    nu, N, char, frac = _normal_split(group, g)
     if char:
         return SurfaceNormalData(nu, None, None, True, float(frac))
-    return SurfaceNormalData(nu, nuH, varpi, False, float(frac))
+    return SurfaceNormalData(nu, N[: group.h], N[group.h :], False, float(frac))
 
 
 def _check_on_surface(field, y):
@@ -213,23 +218,22 @@ def metric_normal(group, field, y, t_range=(-1.0, 1.0), samples=201, sign=1):
 
     The momentum is sign * N(y); both orientations trace the same set. With
     varpi = 0 the curve is the straight one-parameter subgroup line. A
-    non-finite y or end of t_range raises NonFiniteState.
+    non-finite y or end of t_range, or a trace that leaves the floats,
+    raises NonFiniteState.
     """
     require_step2(group, "metric normal")
     y = group.point(np.asarray(y, dtype=float))
     _check_on_surface(field, y)
     t0, t1 = float(t_range[0]), float(t_range[1])
     _check_finite((t0, t1), "t_range")
-    data = surface_normals(group, field, y)
-    P0 = float(sign) * data.N
+    N = _normal_covector(group, field, y)
     times = np.linspace(t0, t1, int(samples))
-    path = ClosedFormPath(group=group, x0=y, P0=P0)
-    xs, ps = path.point(times, return_momentum=True)
+    xs, ps = _closed_form(group, y, float(sign) * N, times)
     meta = {
         "group": group.name,
         "method": "closed-form-metric-normal",
         "surface": field.name,
-        "varpi_norm": float(np.linalg.norm(data.varpi)),
+        "varpi_norm": float(np.linalg.norm(N[group.h :])),
     }
     return GeodesicTrace(times, xs, ps, meta, group=group)
 
@@ -289,15 +293,9 @@ def _chart_forward(chart, U, T):
     """Batched Phi(u, t) and its exact t-derivative, the geodesic velocity."""
     group = chart.group
     ys = chart.surface_point(U)
-    g = frame_gradient(group, chart.field, ys)
-    _, nuH, varpi, char, _ = _normal_split(group, g)
-    if np.any(char):
-        raise Characteristic(
-            "patch touches the characteristic set; shrink the radius"
-        )
-    N = np.concatenate([nuH, varpi], axis=-1)
-    path = ClosedFormPath(group=group, x0=ys, P0=N)
-    x, P = path.point(np.asarray(T, dtype=float), return_momentum=True)
+    msg = "patch touches the characteristic set; shrink the radius"
+    N = _normal_covector(group, chart.field, ys, msg)
+    x, P = exp_sr_2step(group, ys, N, np.asarray(T, dtype=float), return_momentum=True)
     P[..., group.h :] = 0.0
     return x, frame_apply(group, x, P)
 
@@ -381,9 +379,7 @@ def build_chart(group, field, base, radius=0.5, eps0=0.5):
             raise ValueError("%s must be finite and positive, got %r" % (name, value))
     base = group.point(np.asarray(base, dtype=float))
     _check_on_surface(field, base)
-    data = surface_normals(group, field, base)
-    if data.characteristic:
-        raise Characteristic("chart base point is characteristic")
+    _normal_covector(group, field, base, "chart base point is characteristic")
 
     gradf = field.coordinate_gradient(base)
     E = _tangent_basis((gradf / np.linalg.norm(gradf))[None])[0]
@@ -455,17 +451,23 @@ def phi_map(chart, y, t):
     A non-finite y or t raises NonFiniteState, a t beyond the chart's
     half-width OutsideChart.
     """
-    y = chart.group.point(np.asarray(y, dtype=float))
+    group = chart.group
+    y = group.point(np.asarray(y, dtype=float))
     _check_on_surface(chart.field, y)
     _check_finite(t, "the normal time")
+    # surface_point projects along the surface gradient, not along the base
+    # normal, so u is found by iteration from (y - base) E
     u = (y - chart.base) @ chart.E
-    ys = chart.surface_point(np.atleast_2d(u))[0]
-    if np.linalg.norm(ys - y) > 1e-6 * (1.0 + np.linalg.norm(y)):
+    scale = 1.0 + np.linalg.norm(y)
+    for _ in range(NEWTON_ITER):
+        miss = y - chart.surface_point(u[None])[0]
+        if np.linalg.norm(miss) <= INVERT_TOL * scale:
+            break
+        u = u + miss @ chart.E
+    if np.linalg.norm(miss) > 1e-6 * scale:
         raise OutsideChart("surface point is not on this patch's graph")
     _chart_membership(chart, u, t)
-    data = surface_normals(chart.group, chart.field, y)
-    path = ClosedFormPath(group=chart.group, x0=y, P0=data.N)
-    return path.point(float(t))
+    return exp_sr_2step(group, y, _normal_covector(group, chart.field, y), float(t))
 
 
 @dataclass
@@ -529,8 +531,7 @@ def grad_delta_H(chart, x):
     x = np.asarray(x, dtype=float)
     res = project_to_surface(chart, np.atleast_2d(x))
     group = chart.group
-    _, nuH, varpi, _, _ = _normal_split(group, frame_gradient(group, chart.field, res.y))
-    N = np.concatenate([nuH, varpi], axis=-1)
-    _, P = ClosedFormPath(group=group, x0=res.y, P0=N).point(res.t, return_momentum=True)
+    N = _normal_covector(group, chart.field, res.y)
+    _, P = exp_sr_2step(group, res.y, N, res.t, return_momentum=True)
     out = np.where(res.t >= 0.0, 1.0, -1.0)[:, None] * P
     return out[0] if x.ndim == 1 else out

@@ -297,6 +297,30 @@ def test_non_finite_trace_exits_3(capsys):
         assert err.startswith("NonFiniteState:") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_metric_normal_leaving_the_floats_exits_3(capsys):
+    code, out, err = run(
+        capsys, "surface", "metric-normal", "--group", "h1", "--f", "x1+0.3*x3",
+        "--at", "0,0,0", "--t-min", "0", "--t-max", "1e200",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("NonFiniteState:") and err.count("\n") == 1
+
+
+def test_geodesic_stepwise_integrator_matches_normal(capsys):
+    argv = (
+        "geodesic", "--group", "engel", "--x0", "0.1,0,-0.2,0.3",
+        "--p0", "0.6,0.8,0.5,-0.4", "--T", "2", "--steps", "400",
+    )
+    traces = []
+    for integrator in ("normal", "stepwise"):
+        code, out, _ = run(capsys, *argv, "--integrator", integrator)
+        assert code == 0
+        traces.append(np.loadtxt(out.splitlines(), skiprows=1))
+    assert traces[0].shape == (401, 9)
+    assert np.max(np.abs(traces[1] - traces[0])) < 1e-8
+
+
 def test_exp_tiny_frequency_beside_kernel(capsys, tmp_path):
     # corank 1, h = 5: frequencies 1 and about 1.9e-7 beside a kernel
     rng = np.random.default_rng(0)

@@ -685,6 +685,32 @@ def test_corank1_reach_check_does_not_overflow():
         assert np.max(np.abs(reached - y)) <= distance.ROOT_TOL * np.max(np.abs(y))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_corank1_huge_targets_do_not_overflow():
+    # each row is solved at unit scale, so nothing overflows in the solve;
+    # the endpoints of these roots leave the floats, so none is converged
+    Y = np.array([[1e155, 0.0, 0.0], [1e160, 0.0, 1e-10], [0.0, 0.0, 5e307]])
+    batch = distance_batch(h1(), np.zeros(3), Y)
+    assert not batch.converged.any() and not batch.certified.any()
+
+
+def test_root_past_a_conjugate_point_is_dropped():
+    # a unit covector turned 1.3 periods of its fastest rotation meets its
+    # first conjugate point (t = 8.209) before T, so the root is dropped; at
+    # 0.9 of that time the scan finds none and the root stays
+    g = random_two_step(3, 2, np.random.default_rng(10))
+    P0 = np.array([1.0, 0.0, 0.0, np.sqrt(0.5), np.sqrt(0.5)])
+    T = 1.3 * 2.0 * np.pi / distance._top_frequency(g, P0[g.h :])
+    first = conjugate_detect(g, np.zeros(g.n), P0, T)[0]
+    assert abs(first - 8.209) < 1e-3 < T - first
+    for t, kept in ((T, False), (0.9 * first, True)):
+        flags = np.ones((1, 1), dtype=bool)
+        keep = distance._drop_past_conjugate(
+            g, P0[None, None], np.array([[t]]), flags.copy(), flags
+        )
+        assert keep.tolist() == [[kept]]
+
+
 def test_normal_geodesic_minimizes_up_to_the_fastest_turn():
     # a normal geodesic minimizes up to the turn 2 pi / sigma_max(C_H(eta)):
     # covectors planted at 0.5-0.95 of that turn on a corank-2 group have

@@ -126,6 +126,14 @@ def test_metric_normal_momentum_and_mirror():
     np.testing.assert_allclose(minus.xs, plus.xs, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_metric_normal_leaving_the_floats_raises():
+    # the trace overflows long before t = 1e200: a refusal, not a nan sample
+    field = polynomial_field(3, [(1.0, (1, 0, 0)), (0.3, (0, 0, 1))])
+    with pytest.raises(NonFiniteState):
+        metric_normal(h1(), field, np.zeros(3), t_range=(0.0, 1e200))
+
+
 def test_metric_normal_gates():
     g = h1()
     f3 = plane(3, 3)
@@ -381,3 +389,34 @@ def test_h2_hyperplane_chart():
         expect = np.zeros(5)
         expect[0] = np.sign(xs[k, 0])
         np.testing.assert_allclose(grads[k], expect, atol=1e-9)
+
+
+def test_chart_probe_halves_the_half_width():
+    # the normals of x1 - 2 x2^2 cross within 1.0 of the patch: the probe
+    # fails twice and the chart settles at a quarter of eps0
+    field = polynomial_field(3, [(1.0, (1, 0, 0)), (-2.0, (0, 2, 0))])
+    chart = build_chart(h1(), field, np.zeros(3), radius=0.5, eps0=1.0)
+    assert chart.eps0 == 0.25 and chart.probe_failures == 2
+
+
+@pytest.mark.parametrize(
+    "terms, eps0",
+    [
+        ([(1.0, (1, 0, 0)), (-0.2, (0, 2, 0)), (0.3, (0, 0, 1))], 0.5),
+        ([(1.0, (1, 0, 0)), (-2.0, (0, 2, 0))], 1.0),
+    ],
+    ids=["x1-0.2x2^2+0.3x3", "x1-2x2^2"],
+)
+def test_phi_map_takes_every_point_of_its_patch(terms, eps0):
+    # surface_point projects along the surface gradient, so (y - base) E
+    # misses the parameter of a patch point; phi_map must still accept the
+    # whole patch, and Phi(y, t) must project back to (y, t)
+    field = polynomial_field(3, terms)
+    chart = build_chart(h1(), field, np.zeros(3), radius=0.5, eps0=eps0)
+    a = np.linspace(-0.35, 0.35, 8)
+    U = np.stack(np.meshgrid(a, a, indexing="ij"), axis=-1).reshape(-1, 2)
+    t = 0.5 * chart.eps0
+    for y in chart.surface_point(U):
+        res = project_to_surface(chart, phi_map(chart, y, t))
+        assert abs(res.t - t) < 1e-10
+        assert np.max(np.abs(res.y - y)) < 1e-10
