@@ -59,51 +59,52 @@ a scan of 360 random covectors on six random groups found no conjugate time
 before the turn.
 
 The shooting solver uses this to stop early and to open a target's starts
-in stages. A converged root with sigma_max(C_H(eta)) T < 2 pi (strictly, so
-it is never one the conjugate scan below looks at) is certified: T is the
-distance, and no other start can do better than find the same minimizer
-again. A certified root is thus final, whichever start finds it, so a
-target's first start runs alone, and its other starts open together only
-once every open track of the target has ended (converged, stalled, or run
-max_iter iterations) without a certified root. As soon as one track
-converges to a certified root, the target's other tracks stop. Each track
-counts its own iterations against max_iter and PLATEAU_ITER, so its
-iterates do not depend on when it opened, nor on the other rows of its
+in stages. A converged root with sigma_max(C_H(eta)) T < 2 pi (strictly) is
+certified: T is the distance, and no other start can do better than find
+the same minimizer again. A certified root is thus final, whichever start
+finds it, so a target's first start runs alone, and its other starts open
+together only once every open track of the target has ended (converged,
+stalled, or run max_iter iterations) without a certified root. As soon as
+one track converges to a certified root, the target's other tracks stop.
+Each track counts its own iterations against max_iter and PLATEAU_ITER, so
+its iterates do not depend on when it opened, nor on the other rows of its
 batch: a target with no certified root runs every track to the end, as if
 all had opened together, and takes the path below. ``ShootingBatch.certified``
 reports which targets' returned roots are certified.
 
 Multiple roots are real (they appear past conjugate points, and targets on
-the vertical axis carry whole families of minimizers), hence the multi-start
-lattice. Converged roots with a conjugate time strictly before their
-arrival are dropped, smallest root first. The scan is made only for roots
-whose fastest rotation has turned a full period (sigma_max(C_H(eta)) T >=
-2 pi); the others minimize by the result above, so a skipped scan cannot
-lose a minimizer, abnormal or not. A target with no converged root, or whose
-converged roots are all dropped, or whose smallest remaining root has
-turned a full period, is solved again as its inverse -z = y^-1 x on the
+the vertical axis carry whole families of minimizers), hence the
+multi-start lattice. Every converged root is the length of an admissible
+curve to z, so its T is never below the distance, and the answer can only
+be the shortest root. One fold rule (``_pick``) picks it: smallest T, ties
+broken by lexicographic comparison of the initial covector, the first of
+equal covectors winning, so batched and repeated runs agree to the bit. A
+certified pick is the answer. Where the pick is not certified (no root
+converged, or the shortest has turned a full period of its fastest
+rotation), the target is solved again as its inverse -z = y^-1 x on the
 same lattice: a root (P, T) of -z is the reversed geodesic of the root
-(-P(T), T) of z, and these join the roots of z. One fold rule (``_pick``)
-orders the remaining roots, for the conjugate scan and for the answer
-alike: smallest T, ties broken by lexicographic comparison of the initial
-covector, the first of equal covectors winning, so batched and repeated
-runs agree to the bit. Any converged root only ever overestimates the
-distance, which is what makes the cheap certified lower bound (|y_H| <= L
-and |y_a| <= |C^a| L^2 / 4 from the signed-area form of the vertical
-displacement) useful for pruning brute-force sweeps.
+(-P(T), T) of z, and these join the roots of z before the fold picks again.
+A pick still not certified is scanned once for a conjugate time in
+(0, (1 - CONJ_MARGIN) T]. A strictly normal geodesic does not minimize past
+one, so a pick that has one leaves the target with no minimizing root:
+every other root is at least as long, so none is the distance either. That
+converged roots only ever overestimate the distance is also what makes the
+cheap certified lower bound (|y_H| <= L and |y_a| <= |C^a| L^2 / 4 from the
+signed-area form of the vertical displacement) useful for pruning
+brute-force sweeps.
 
-A target left with no root by z and -z is shot once more, on the same
-lattice and with the same staging, with a careful step: the damped step from
-the SVD of the column-scaled Jacobian with the damping floor at 1e-20
-instead of 1e-12, central differences in the vertical covector, and the
-geodesic acceleration of Transtrum and Sethna (arXiv:1207.4999) on every
-track. The plain step's normal equations square the Jacobian's condition
-number, and its damping floor outweighs the curvature along a nearly null
-direction, so tracks stall above ROOT_TOL next to a nearly abnormal root (a
-Jacobian singular value of 5e-8) or in a curved valley. The careful step
-builds 1 + 2v covectors per evaluation, and one more covector per track for
-the acceleration, where the plain one builds 1 + v; the second pass
-replaces a result only where it finds a root.
+A target left with no root by z and -z, or whose pick has a conjugate time,
+is shot once more, on the same lattice and with the same staging, with a
+careful step: the damped step from the SVD of the column-scaled Jacobian
+with the damping floor at 1e-20 instead of 1e-12, central differences in
+the vertical covector, and the geodesic acceleration of Transtrum and
+Sethna (arXiv:1207.4999) on every track. The plain step's normal equations
+square the Jacobian's condition number, and its damping floor outweighs the
+curvature along a nearly null direction, so tracks stall above ROOT_TOL
+next to a nearly abnormal root (a Jacobian singular value of 5e-8) or in a
+curved valley. The careful step builds 1 + 2v covectors per evaluation, and
+one more covector per track for the acceleration, where the plain one
+builds 1 + v; the second pass replaces a result only where it finds a root.
 """
 
 from dataclasses import dataclass, field
@@ -662,101 +663,80 @@ def _corank1(group, targets):
     return np.ldexp(T, d), P0, family
 
 
-def _smallest(Ts, keep):
-    """Kept roots tying with each target's smallest kept arrival time."""
-    Tmask = np.where(keep, Ts, np.inf)
+def _smallest(Ts, conv):
+    """Converged roots tying with each target's smallest converged arrival
+    time."""
+    Tmask = np.where(conv, Ts, np.inf)
     Tmin = Tmask.min(axis=1, keepdims=True)
-    return keep & (Tmask <= Tmin * (1.0 + TIE_REL) + 1e-12)
+    return conv & (Tmask <= Tmin * (1.0 + TIE_REL) + 1e-12)
 
 
-def _drop_past_conjugate(group, P0s, Ts, keep, turned):
-    """Clear ``keep`` for roots past a conjugate point, as the fold needs.
-
-    A target's roots are scanned in the order the fold would pick them
-    (smallest T, then lexicographically smallest covector), and only those
-    that have ``turned`` a full period of their fastest rotation; the scan
-    stops at the first root that stays. Coinciding roots of a target share
-    one scan.
-    """
-    pending = turned.copy()
-    while True:
-        ties = _smallest(Ts, keep)
-        rows = np.nonzero((pending & ties).any(axis=1))[0]
-        if rows.size == 0:
-            return keep
-        i = rows[0]
-        s = _pick(P0s[i : i + 1], ties[i : i + 1])[0]
-        if not pending[i, s]:
-            pending[i] = False
-            continue
-        same = pending[i] & (
-            np.abs(P0s[i] - P0s[i, s]).max(axis=1) <= DISTINCT_ROOT_TOL
-        ) & (np.abs(Ts[i] - Ts[i, s]) <= DISTINCT_ROOT_TOL * Ts[i, s])
-        pending[i, same] = False
-        x0, P0 = np.zeros(group.n), P0s[i, s]
-        t_max = Ts[i, s] * (1.0 - CONJ_MARGIN)
-        brackets = _conjugate_brackets(group, x0, P0, t_max, CONJ_SAMPLES)
+def _conjugate_before(group, P0s, Ts):
+    """Per root (P0, T), whether a conjugate time lies in
+    (0, (1 - CONJ_MARGIN) T]; one scan of each root."""
+    x0 = np.zeros(group.n)
+    past = np.zeros(len(Ts), dtype=bool)
+    for i, (P0, T) in enumerate(zip(P0s, Ts)):
+        brackets = _conjugate_brackets(
+            group, x0, P0, T * (1.0 - CONJ_MARGIN), CONJ_SAMPLES
+        )
         # a sign change settles it; otherwise only the |det| minima refine
-        if brackets[2] or _conjugate_roots(group, x0, P0, *brackets).size:
-            keep[i, same] = False
-
-
-def _minimizing_roots(group, targets, starts, max_iter, careful):
-    """Shoot at targets: (P0s, Ts, residuals, converged, kept, turned).
-
-    ``turned`` marks converged roots with sigma_max(C_H(eta)) T >= 2 pi
-    (by more than the conjugate margin), the only ones scanned for conjugate
-    points.
-    """
-    ws, etas, Ts, fns, convs = _shoot(group, targets, starts, max_iter, careful)
-    P0s = np.concatenate([ws, etas], axis=-1)
-    sig = _top_frequency(group, etas)
-    turned = convs & (sig * Ts * (1.0 - CONJ_MARGIN) >= 2.0 * np.pi)
-    keep = _drop_past_conjugate(group, P0s, Ts, convs.copy(), turned)
-    return P0s, Ts, fns, convs, keep, turned
+        past[i] = brackets[2] or _conjugate_roots(group, x0, P0, *brackets).size
+    return past
 
 
 def _shooting(group, targets, starts, max_iter, careful=False):
-    """Minimizing shooting roots of z, and of -z where those of z are doubtful.
+    """The shortest converged shooting root of each target, checked once.
 
-    -z is solved again when none of the smallest kept roots of z stays below
-    a full turn (no root converged, every root dropped, or the minimum
-    reached only after a full period); its roots, reversed, join those of
-    z, and ``_pick`` folds them. Targets with no root left are solved again
-    with ``careful`` steps (the module docstring's second pass), whose
-    results replace theirs only where that finds a root. Returns (T, P0,
-    residual, multiplicity, found) over the targets.
+    ``_pick`` folds the converged roots of z. Where that pick is not
+    certified (sigma_max(C_H(eta)) T >= 2 pi, or no root converged), -z is
+    solved too, its roots, reversed, join those of z and the fold picks
+    again. A pick still not certified is scanned once for a conjugate time
+    (``_conjugate_before``); one there leaves the target with no minimizing
+    root. Targets with no root left are solved again with ``careful`` steps
+    (the module docstring's second pass), whose results replace theirs only
+    where that finds a root. Returns (T, P0, residual, multiplicity,
+    certified, found) over the targets.
     """
-    n = group.n
-    P0s, Ts, fns, convs, keep, turned = _minimizing_roots(
-        group, targets, starts, max_iter, careful
-    )
-    retry = ~(_smallest(Ts, keep) & ~turned).any(axis=1)
+    h, n = group.h, group.n
+    ws, etas, Ts, fns, convs = _shoot(group, targets, starts, max_iter, careful)
+    P0s = np.concatenate([ws, etas], axis=-1)
+    rows = np.arange(targets.shape[0])
+
+    def fold():
+        ties = _smallest(Ts, convs)
+        best = _pick(P0s, ties)
+        P, T = P0s[rows, best], Ts[rows, best]
+        turn = _top_frequency(group, P[:, h:]) * T
+        return ties, best, P, T, convs.any(axis=1) & (turn < 2.0 * np.pi)
+
+    ties, best, bestP, bestT, certified = fold()
+    retry = ~certified
     if retry.any():
-        rP0, rT, rfn, _, rkeep, _ = _minimizing_roots(
+        rw, reta, rT, rfn, rconv = _shoot(
             group, -targets[retry], starts, max_iter, careful
         )
         # a root of -z is the reversed geodesic of -(arrival covector) to z
         _, arrival = exp_sr_2step(
-            group, np.zeros(n), rP0, rT, return_momentum=True
+            group, np.zeros(n), np.concatenate([rw, reta], axis=-1), rT,
+            return_momentum=True,
         )
         k = np.nonzero(retry)[0]
         P0s = np.concatenate([P0s, np.zeros_like(P0s)], axis=1)
         Ts = np.concatenate([Ts, np.zeros_like(Ts)], axis=1)
         fns = np.concatenate([fns, np.full_like(fns, np.inf)], axis=1)
-        keep = np.concatenate([keep, np.zeros_like(keep)], axis=1)
+        convs = np.concatenate([convs, np.zeros_like(convs)], axis=1)
         P0s[k, starts:], Ts[k, starts:], fns[k, starts:] = -arrival, rT, rfn
-        keep[k, starts:] = rkeep
+        convs[k, starts:] = rconv
+        ties, best, bestP, bestT, certified = fold()
 
-    found = keep.any(axis=1)
-    ties = _smallest(Ts, keep)
-    rows = np.arange(targets.shape[0])
-    best = _pick(P0s, ties)
-    bestP = P0s[rows, best]
+    found = convs.any(axis=1)
+    scan = np.nonzero(found & ~certified)[0]
+    found[scan] = ~_conjugate_before(group, bestP[scan], bestT[scan])
     spread = np.where(ties, np.abs(P0s - bestP[:, None]).max(axis=2), 0.0)
     mult = spread.max(axis=1) > DISTINCT_ROOT_TOL
     residual = np.where(found, fns[rows, best], fns.min(axis=1))
-    out = Ts[rows, best], bestP, residual, mult, found
+    out = bestT, bestP, residual, mult, certified, found
     if careful or found.all():
         return out
     lost = np.nonzero(~found)[0]
@@ -786,31 +766,30 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
     not used) and counts as converged when the returned covector reaches it
     within ROOT_TOL relative to max(1, |z|), both norms scaled so that they
     do not overflow, and a non-finite endpoint counting as a miss. On
-    corank >= 2 the multi-start
-    shooting solver runs on the whole batch, each target from its first
-    start alone, the others opening where that finds no certified root
-    (turning less than a full period of its fastest rotation), and until
-    one of its tracks converges to a certified root; ``max_iter`` counts
-    each track's own iterations. Converged roots with a conjugate time
-    before their arrival are dropped, a target with no converged root left,
-    or whose smallest one has turned a full period of its fastest rotation,
-    is solved again as its inverse -z with the roots mapped back, and the
-    remaining roots are folded by the one rule of ``_pick``: minimal T
-    first, then the lexicographically smallest initial covector, the first
-    of equal ones winning; a target still left with no root is shot once
-    more with the careful step of the module docstring. Targets whose
-    minimizing roots disagree in covector while tying in time are flagged
-    with ``multiplicity``, as are corank-1 targets reached by a family of
-    minimizers and vertical-axis targets (``on_axis``: |z_H| at most
-    AXIS_TOL sqrt(max_a |z_a|), a test that dilations leave unchanged).
+    corank >= 2 the multi-start shooting solver runs on the whole batch,
+    each target from its first start alone, the others opening where that
+    finds no certified root (turning less than a full period of its fastest
+    rotation), and until one of its tracks converges to a certified root;
+    ``max_iter`` counts each track's own iterations. The converged roots are
+    folded by the one rule of ``_pick``: minimal T first, then the
+    lexicographically smallest initial covector, the first of equal ones
+    winning. A certified pick is the answer; otherwise the target is solved
+    again as its inverse -z with the roots mapped back, the fold picks
+    again, and a pick still not certified is scanned once for a conjugate
+    time before its arrival. A target with no root, or whose pick has a
+    conjugate time, is shot once more with the careful step of the module
+    docstring. Targets whose tied shortest roots disagree in covector are
+    flagged with ``multiplicity``, as are corank-1 targets reached by a
+    family of minimizers and vertical-axis targets (``on_axis``: |z_H| at
+    most AXIS_TOL sqrt(max_a |z_a|), a test that dilations leave unchanged).
     Targets left with no root carry their best residual and
     ``converged=False``: no start converged on z or on -z, in either pass,
-    or (corank >= 2) every converged root ran past a conjugate point. For them
-    ``solution(i)`` raises NoConvergence. ``certified`` marks on corank 1
-    every converged target, whose T is exact, and on corank >= 2 the
-    converged targets whose returned covector turns less than a full period
-    over T. A NaN or infinite coordinate in x0 or the targets
-    raises NonFiniteState.
+    or (corank >= 2) the shortest root met a conjugate point, so no root
+    minimizes. For them ``solution(i)`` raises NoConvergence. ``certified``
+    marks on corank 1 every converged target, whose T is exact, and on
+    corank >= 2 the converged targets whose returned covector turns less
+    than a full period over T. A NaN or infinite coordinate in x0 or the
+    targets raises NonFiniteState.
     """
     require_step2(group, "distance")
     reduced = _reduce(group, x0, targets)
@@ -832,8 +811,10 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
         trivial = np.linalg.norm(reduced, axis=1) < 1e-13
     mult_out[trivial] = True
     todo = ~trivial
+    certified = np.ones(m, dtype=bool)
     if todo.any():
         sub = reduced[todo]
+        sel = np.nonzero(todo)[0]
         if group.v == 1:
             T, P0, mult = _corank1(group, sub)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -848,19 +829,16 @@ def distance_batch(group, x0, targets, starts=16, max_iter=MAX_ITER):
                 )
                 found = np.isfinite(res) & (res <= ROOT_TOL * scale)
                 res = np.ldexp(res, k)
+            cert = found
         else:
-            T, P0, res, mult, found = _shooting(group, sub, starts, max_iter)
-        sel = np.nonzero(todo)[0]
+            T, P0, res, mult, cert, found = _shooting(group, sub, starts, max_iter)
         T_out[sel] = np.where(found, T, 0.0)
         P_out[sel] = np.where(found[:, None], P0, P_out[sel])
         res_out[sel] = res
         mult_out[sel] = found & (mult | on_axis[sel])
         conv_out[sel] = found
+        certified[sel] = cert
 
-    certified = conv_out.copy()
-    if group.v > 1:
-        turn = _top_frequency(group, P_out[:, h:]) * T_out
-        certified = conv_out & (turn < 2.0 * np.pi)
     return ShootingBatch(
         T=T_out,
         P0=P_out,

@@ -64,7 +64,7 @@ ON_SURFACE_TOL = 1e-9
 PROBE = 5  # points per axis of the chart's (u, t) probe grid
 PROJECT_TOL = 1e-13  # |f| relative to 1 + |y| at which projection stops
 INVERT_TOL = 1e-12  # |Phi(u, t) - x| relative to 1 + |x| at which inversion stops
-NEWTON_ITER = 60  # iteration cap of both Newton solves and of phi_map's u search
+NEWTON_ITER = 60  # iteration cap of both Newton solves
 _NO_NORMAL = "no horizontal normal at a characteristic point"
 
 
@@ -456,15 +456,9 @@ def phi_map(chart, y, t):
     _check_on_surface(chart.field, y)
     _check_finite(t, "the normal time")
     # surface_point projects along the surface gradient, not along the base
-    # normal, so u is found by iteration from (y - base) E
-    u = (y - chart.base) @ chart.E
-    scale = 1.0 + np.linalg.norm(y)
-    for _ in range(NEWTON_ITER):
-        miss = y - chart.surface_point(u[None])[0]
-        if np.linalg.norm(miss) <= INVERT_TOL * scale:
-            break
-        u = u + miss @ chart.E
-    if np.linalg.norm(miss) > 1e-6 * scale:
+    # normal, so u is the chart's own inverse of y, at normal time 0
+    u, t0, _, conv = _invert_batch(chart, y[None], *_default_start(chart, y[None]))
+    if not (conv[0] and abs(t0[0]) <= 1e-6 * (1.0 + np.linalg.norm(y))):
         raise OutsideChart("surface point is not on this patch's graph")
     _chart_membership(chart, u, t)
     return exp_sr_2step(group, y, _normal_covector(group, chart.field, y), float(t))

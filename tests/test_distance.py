@@ -704,11 +704,40 @@ def test_root_past_a_conjugate_point_is_dropped():
     first = conjugate_detect(g, np.zeros(g.n), P0, T)[0]
     assert abs(first - 8.209) < 1e-3 < T - first
     for t, kept in ((T, False), (0.9 * first, True)):
-        flags = np.ones((1, 1), dtype=bool)
-        keep = distance._drop_past_conjugate(
-            g, P0[None, None], np.array([[t]]), flags.copy(), flags
-        )
-        assert keep.tolist() == [[kept]]
+        past = distance._conjugate_before(g, P0[None], np.array([t]))
+        assert past.tolist() == [not kept]
+
+
+def test_shortest_root_past_a_conjugate_point_leaves_no_distance(monkeypatch):
+    # every converged root is no shorter than the distance, so when the
+    # shortest one meets a conjugate point before T (r1, turned 1.3 periods)
+    # no longer root (r2, conjugate-free up to 0.999 T2) is the distance
+    # either: the target comes back unconverged. The stubbed solver finds
+    # both roots on z alone, and nothing on -z or in the careful pass
+    g = random_two_step(3, 2, np.random.default_rng(10))
+    e = np.array([np.sqrt(0.5), np.sqrt(0.5)])
+    sigma = distance._top_frequency(g, e)
+    r1, T1 = np.r_[1.0, 0.0, 0.0, e], 1.3 * 2.0 * np.pi / sigma
+    r2, T2 = np.r_[1.0, 0.0, 0.0, 0.5 * e], 1.02 * 2.0 * np.pi / (0.5 * sigma)
+    z = exp_sr_2step(g, np.zeros(g.n), r1, T1)
+
+    def stub(group, targets, starts, max_iter, careful=False):
+        m = targets.shape[0]
+        P = np.zeros((m, starts, g.n))
+        P[..., 0] = 1.0
+        T = np.ones((m, starts))
+        fn = np.full((m, starts), np.inf)
+        conv = np.zeros((m, starts), dtype=bool)
+        hit = (not careful) & (np.abs(targets - z).max(axis=1) <= 1e-12)
+        P[hit, :2], T[hit, :2] = [r1, r2], [T1, T2]
+        fn[hit, :2], conv[hit, :2] = 0.0, True
+        return P[..., : g.h], P[..., g.h :], T, fn, conv
+
+    monkeypatch.setattr(distance, "_shoot", stub)
+    assert distance._conjugate_before(g, r1[None], np.array([T1])).tolist() == [True]
+    assert distance._conjugate_before(g, r2[None], np.array([T2])).tolist() == [False]
+    batch = distance_batch(g, np.zeros(g.n), z[None])
+    assert not batch.converged[0] and not batch.certified[0]
 
 
 def test_normal_geodesic_minimizes_up_to_the_fastest_turn():
