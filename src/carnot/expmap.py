@@ -29,8 +29,11 @@ the part of the integral quadratic in P_H(0) is
     sum over p, r of  W_pr (K1 T1 - K2 T2 - K3 T3 + K4 T4)_pr,
 
 with T1..T4 the product integrals at (sigma_p t, sigma_r t) times t^2, t^3,
-t^3 and t^4. The K_k come from batched matrix products of CU and C(MU), and
-the four terms from one contraction of the stacked tensors.
+t^3 and t^4. carnot._trig gives all four on every pair of a row's
+frequencies z = sigma t from one Gauss-Legendre rule, whose node count the
+row's largest turn sets, about 0.55 nodes per radian: a point costs more the
+further its geodesic turns. The K_k come from batched matrix products of CU
+and C(MU), and the four terms from one contraction of the stacked tensors.
 
 x_H(t) is linear and x_V(t) quadratic in P_H(0), so by polarization the
 derivative along a horizontal momentum dP_H is exact: E(t) dP_H, and
@@ -89,6 +92,8 @@ __all__ = [
 SKEW_TOL = 1e-12
 # frequencies at most FREQ_TOL times the largest one count as kernel
 FREQ_TOL = 1e-10
+# the powers of t that scale the product integrals t1..t4
+_T_POWERS = np.array([2.0, 3.0, 3.0, 4.0])
 
 
 def require_step2(group, what):
@@ -277,15 +282,8 @@ class ClosedFormPath:
             if momentum:
                 ph = self._spread(np.cos(z) * q, sq)
             # [t^2 T1, t^3 T2, t^3 T3, t^4 T4], stacked as _K is
-            tt = ts[..., None]
-            prod = _trig.products(
-                z[..., :, None], z[..., None, :], sz[..., :, None], hz[..., :, None]
-            )
-            T = np.empty(z.shape[:-1] + (4,) + 2 * z.shape[-1:])
-            np.multiply(tt**2, prod[0], out=T[..., 0, :, :])
-            np.multiply(tt**3, prod[1], out=T[..., 1, :, :])
-            np.multiply(tt**3, prod[2], out=T[..., 2, :, :])
-            np.multiply(tt**4, prod[3], out=T[..., 3, :, :])
+            T = _trig.products(z)
+            T *= (ts ** _T_POWERS)[..., None, None]
             # the four terms of the stacked contraction are summed in order,
             # as four separate contractions would be
             Jk = np.einsum("...vkab,...ab,...kab->...vk", self._K, self._W, T)

@@ -464,6 +464,14 @@ def test_zero_target_and_base_point_shift():
     assert sol.T == 0.0
 
 
+def test_diagonal_is_zero_at_every_scale():
+    # the reduction (-x) * x must be an exact 0: any rounding left in its
+    # vertical part grows with the dilation and reads as a distance
+    g = random_two_step(4, 1, np.random.default_rng(7))
+    x = dilate(g, 10.0**1.75, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))
+    assert distance_point(g, x, x).T == 0.0
+
+
 def test_shooting_solution_unit_gate():
     g = h1()
     with pytest.raises(NotUnit):

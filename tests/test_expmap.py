@@ -32,8 +32,8 @@ def h1_orbit(lam, t):
     )
 
 
-# kernel cross-check corners: both branches of every product integral,
-# branch boundaries, mixed signs, series/ladder handoff of the moments
+# kernel cross-check corners: zero and tiny frequencies, equal and opposite
+# pairs, mixed signs
 KERNEL_PAIRS = [
     (0.0, 0.0),
     (1e-9, 2.0),
@@ -48,6 +48,15 @@ KERNEL_PAIRS = [
     (5.0, -3.0),
     (6.2, 0.015),
     (5.99, 6.01),
+]
+# pairs on either side of 0.02, where the kernel once switched to series
+CUT_PAIRS = [
+    (0.0199, 0.0201),
+    (0.0201, 0.0199),
+    (0.0201, 0.0201),
+    (0.0199, 3.0),
+    (3.0, 0.0201),
+    (-0.0201, 6.0),
 ]
 
 
@@ -80,31 +89,58 @@ def test_product_kernels_match_quadrature(za, zb):
     assert abs(_trig.t4(za, zb) - ref4) < 1e-8
 
 
-def test_product_kernel_on_a_grid_matches_each_pair():
-    # one call on the h x h grid, with the frequencies' sinc and hv passed
-    # in, against one call per pair: every branch (neither frequency below
-    # CUT, only za, only zb, both) meets the moments on either side of
-    # their series radius 6
-    z = np.array([0.0, 0.013, -0.019, 0.021, 0.7, -3.2, 5.99, -6.01, 11.0, 40.0])
-    grid = _trig.products(
-        z[:, None], z[None, :], _trig.sinc(z)[:, None], _trig.hv(z)[:, None]
+def _mp_products(za, zb):
+    """[t1, t2, t3, t4] at (za, zb) by mpmath quadrature at 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a, b = mp.mpf(za), mp.mpf(zb)
+        us = lambda z, u: u * mp.sinc(z * u)  # noqa: E731
+        uh = lambda z, u: (u * mp.sinc(z * u / 2)) ** 2 / 2  # noqa: E731, u^2 hv(zu)
+        fs = [
+            lambda u: mp.cos(a * u) * us(b, u),
+            lambda u: mp.cos(a * u) * uh(b, u),
+            lambda u: us(a, u) * us(b, u),
+            lambda u: us(a, u) * uh(b, u),
+        ]
+        return np.array([float(mp.quad(f, [0, 0.5, 1])) for f in fs])
+
+
+def test_product_kernel_rows_match_alone_and_mpmath():
+    # a row's node count comes from its own frequencies, so in a stack of
+    # rows on several rungs (and on two panels, |z| > 388) each row gets the
+    # bits it gets alone, from a cold node cache or a warm one; every entry
+    # is within 2e-15 of mpmath
+    z = np.array(
+        [
+            [0.0, 0.013, -0.019, 0.7],
+            [5.99, -6.01, 11.0, 40.0],
+            [0.0201, 0.0199, 3.0, -3.0],
+            [450.0, -1.0, 2.0, 1e-9],
+        ]
     )
-    assert grid.shape == (4, z.size, z.size)
-    for i, za in enumerate(z):
-        for j, zb in enumerate(z):
-            assert np.array_equal(grid[:, i, j], _trig.products(za, zb))
+    _trig._rule.cache_clear()
+    grid = _trig.products(z)
+    assert grid.shape == (4, 4, 4, 4)
+    assert np.array_equal(_trig.products(z), grid)
+    for i in range(4):
+        assert np.array_equal(_trig.products(z[i]), grid[i])
     for k, tk in enumerate([_trig.t1, _trig.t2, _trig.t3, _trig.t4]):
-        assert np.array_equal(tk(z[:, None], z[None, :]), grid[k])
+        assert np.array_equal(tk(z[:, 0], z[:, 1]), _trig.products(z[:, :2])[:, k, 0, 1])
+    for za, zb in KERNEL_PAIRS + CUT_PAIRS:
+        got = _trig.products([za, zb])[:, 0, 1]
+        assert np.abs(got - _mp_products(za, zb)).max() <= 2e-15, (za, zb)
 
 
-def test_moments_match_quadrature():
-    for z in [0.0, 0.3, 5.9, 6.1, 30.0, -12.0]:
-        for k in range(9):
-            mc = _quad(lambda u: u**k * np.cos(z * u))
-            ms = _quad(lambda u: u**k * np.sin(z * u))
-            got_c, got_s = _trig._moments(z, k)
-            assert abs(got_c[k] - mc) < 1e-9
-            assert abs(got_s[k] - ms) < 1e-9
+def test_doubling_the_nodes_moves_no_product(monkeypatch):
+    # each rung's reach is where its rule has converged: at the reach of
+    # every rung, and past the top one, twice the nodes move no entry by
+    # more than 1e-15
+    z = np.array([[r, -r, 0.97 * r, 0.5 * r, 0.0, 1e-9] for r in _trig._REACH + (400.0,)])
+    once = _trig.products(z)
+    rule = _trig._rule
+    monkeypatch.setattr(_trig, "_rule", lambda m: rule(2 * m))
+    assert np.abs(_trig.products(z) - once).max() <= 1e-15
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
