@@ -1,34 +1,31 @@
 """Trigonometric kernels of the closed-form exponential.
 
-On corank >= 2 each vertical coordinate of a step-2 geodesic is half a
-signed-area integral, which carnot.expmap splits over its spectral basis
-into four product integrals per pair of frequencies (za, zb):
+On corank >= 2 the signed area of a step-2 geodesic and its derivatives are
+integrals over [0, t] of products of the closed-form samples of
+carnot.expmap. The integrands are entire, so one Gauss-Legendre rule on
+[0, 1] reaches rounding with no case split (Trefethen, SIAM Rev. 50, 2008).
+``quadrature`` sums them row by row at the rule the row's largest turn |z|
+selects: the smallest rung of _RUNGS whose _REACH covers it (95% of the |z|
+up to which the rung stays within 1.5e-15 of a 512-node rule on the
+products below, checked against mpmath), about 0.55 nodes per radian. Past
+the top rung, [0, 1] splits into up to _MAX_PANELS panels of it; a row
+turning further, or not finite, is left out. A row's rule depends on its
+own frequencies alone, and each rung's nodes (Golub & Welsch, Math. Comp.
+23, 1969) are computed once, so its bits do not depend on its batch or on
+the cache. ``products`` gives, on all pairs (za, zb) of a row, the four
+real product integrals the rungs were measured on,
 
     t1 = int_0^1 cos(za u) u sinc(zb u) du
     t2 = int_0^1 cos(za u) u^2 hv(zb u) du
     t3 = int_0^1 u sinc(za u) u sinc(zb u) du
     t4 = int_0^1 u sinc(za u) u^2 hv(zb u) du
 
-with sinc(z) = sin(z)/z and hv(z) = (1 - cos z)/z^2. The integrands are
-entire, so one Gauss-Legendre rule on [0, 1] reaches rounding with no case
-split (Trefethen, SIAM Rev. 50, 2008): ``products`` samples cos(zu),
-u sinc(zu) and u^2 hv(zu) for a row of frequencies z at m nodes, and one
-(2h x m)(m x 2h) product gives t1..t4 on all h x h pairs; ``t1``..``t4``
-are its slices on one pair.
-
-The cost is about 0.55 nodes per radian. A row takes the smallest rung of
-_RUNGS whose _REACH covers its largest |z| (95% of the |z| up to which the
-rung stays within 1.5e-15 of a 512-node rule, checked against mpmath).
-Past the top rung, [0, 1] splits into up to _MAX_PANELS panels of it; a row
-turning further, or not finite, comes back NaN. A row's rule depends on its
-own frequencies alone, and each rung's nodes (Golub & Welsch, Math. Comp.
-23, 1969) are computed once, so its bits do not depend on its batch or on
-the cache.
-
-Corank 1 needs two plane kernels only, shared by the closed form and the
-corank-1 distance: ``rotate_half`` turns plane components by half an angle,
-and s3(th) = (th - sin th)/th^3, entire, is the signed area a plane turning
-by th sweeps (a Taylor series below |th| = 0.5, where the difference cancels).
+with sinc(z) = sin(z)/z and hv(z) = (1 - cos z)/z^2; ``t1``..``t4`` are
+its slices. Corank 1 needs two plane kernels, shared by the closed form and
+the corank-1 distance: ``rotate_half`` turns plane components by half an
+angle, and s3(th) = (th - sin th)/th^3, entire, is the signed area a plane
+turning by th sweeps (a Taylor series below |th| = 0.5, where the
+difference cancels).
 """
 
 import functools
@@ -77,12 +74,25 @@ def _rule(m):
     return u, w
 
 
-def _panel(z, u, w):
-    """Rows of [[t1, t2], [t3, t4]] from the nodes u and weights w, for
-    rows of frequencies z of shape (rows, h)."""
-    h, x = z.shape[-1], z[:, :, None] * u
-    f = np.concatenate([np.cos(x), u * sinc(x), u * u * hv(x)], axis=1)
-    return (f[:, : 2 * h] * w) @ np.swapaxes(f[:, h:], -1, -2)
+def quadrature(turn, panel, out):
+    """Integrals over [0, 1] of rows, each by the rule its ``turn`` selects.
+
+    For each group of rows ``sel`` sharing a rule, ``panel(sel, u, w)``
+    gives a list of arrays over those rows at nodes u, weights w; their sums
+    over the rule's panels, in order, go into the rows ``sel`` of ``out``.
+    """
+    good = turn <= _MAX_PANELS * _REACH[-1]
+    turn = np.where(good, turn, 0.0)
+    panels = np.exp2(np.ceil(np.log2(np.maximum(turn / _REACH[-1], 1.0))))
+    rung = np.minimum(np.searchsorted(_REACH, turn / panels), len(_REACH) - 1)
+    for p, r in set(zip(panels[good].tolist(), rung[good].tolist())):
+        sel = np.flatnonzero(good & (panels == p) & (rung == r))
+        u, w = _rule(_RUNGS[r])
+        acc = panel(sel, u / p, w / p)
+        for k in range(1, int(p)):
+            acc = [a + b for a, b in zip(acc, panel(sel, (u + k) / p, w / p))]
+        for o, a in zip(out, acc):
+            o[sel] = a
 
 
 def products(z):
@@ -94,16 +104,14 @@ def products(z):
     z = np.asarray(z, dtype=float)
     lead, h = z.shape[:-1], z.shape[-1]
     rows = z.reshape(-1, h)
-    turn = np.abs(rows).max(axis=-1, initial=0.0)
-    good = turn <= _MAX_PANELS * _REACH[-1]
-    turn = np.where(good, turn, 0.0)
-    panels = np.exp2(np.ceil(np.log2(np.maximum(turn / _REACH[-1], 1.0))))
-    rung = np.minimum(np.searchsorted(_REACH, turn / panels), len(_REACH) - 1)
+
+    def panel(sel, u, w):
+        x = rows[sel, :, None] * u
+        f = np.concatenate([np.cos(x), u * sinc(x), u * u * hv(x)], axis=1)
+        return [(f[:, : 2 * h] * w) @ np.swapaxes(f[:, h:], -1, -2)]
+
     out = np.full((rows.shape[0], 2 * h, 2 * h), np.nan)
-    for p, r in set(zip(panels[good].tolist(), rung[good].tolist())):
-        sel = np.flatnonzero(good & (panels == p) & (rung == r))
-        u, w = _rule(_RUNGS[r])
-        out[sel] = sum(_panel(rows[sel], (u + k) / p, w / p) for k in range(int(p)))
+    quadrature(np.abs(rows).max(axis=-1, initial=0.0), panel, [out])
     return out.reshape(lead + (2, h, 2, h)).swapaxes(-3, -2).reshape(lead + (4, h, h))
 
 

@@ -27,18 +27,12 @@ Q = T (nu, eta) at time 1 (Agrachev-Barilari-Boscain, 2019), and a root of
 exp(Q)(1) = z gives the unit covector Q / |Q_H| and the length T = |Q_H|.
 The solver is a damped Gauss-Newton iteration in Q, a square system of n
 unknowns, on batches of (target, start) tracks at once; an accepted step is
-Q + delta. The h horizontal columns of the Jacobian are exact: the closed
-form is linear in the horizontal momentum in its horizontal part and
-quadratic in its vertical part, so ``ClosedFormPath.jet`` gives the
-derivative along each e_i by polarization, from the same spectral data,
-sinc/hv factors and product integrals as the point itself. The v vertical
-columns are forward differences (central in the careful pass below) of
-covectors perturbed in Q_V. Each evaluation, a start's first and every
-step's candidate, is one build of 1 + v covectors (1 + 2v in the careful
-pass), the point and its perturbed copies, and one jet of it gives the
-endpoint and every column. An accepted candidate's columns are the next
+Q + delta. Every Jacobian column is exact: each evaluation, a start's first
+and every step's candidate, is one build of the tracks' covectors, whose
+``ClosedFormPath._jet`` gives the endpoint and all n columns from the same
+samples (carnot.expmap). An accepted candidate's columns are the next
 iteration's base, and a rejected one leaves the base's, so an iteration of
-a track is one build.
+a track is one build of one covector.
 A track that after PLATEAU_ITER iterations still misses its target by
 more than PLATEAU_TOL relative to max(1, |z|) sits on a plateau away from
 every root and stops there; tracks creeping next to an ill-conditioned root
@@ -94,17 +88,16 @@ signed-area form of the vertical displacement) useful for pruning
 brute-force sweeps.
 
 A target left with no root by z and -z, or whose pick has a conjugate time,
-is shot once more, on the same lattice and with the same staging, with a
-careful step: the damped step from the SVD of the column-scaled Jacobian
-with the damping floor at 1e-20 instead of 1e-12, central differences in
-the vertical covector, and the geodesic acceleration of Transtrum and
-Sethna (arXiv:1207.4999) on every track. The plain step's normal equations
-square the Jacobian's condition number, and its damping floor outweighs the
+is shot once more, on the same lattice and with the same staging and
+Jacobian, and differs only in its step rule: the damped step from the SVD
+of the column-scaled Jacobian with the damping floor at 1e-20 instead of
+1e-12, plus the geodesic acceleration of Transtrum and Sethna
+(arXiv:1207.4999) on every track. The plain step's normal equations square
+the Jacobian's condition number, and its damping floor outweighs the
 curvature along a nearly null direction, so tracks stall above ROOT_TOL
 next to a nearly abnormal root (a Jacobian singular value of 5e-8) or in a
-curved valley. The careful step builds 1 + 2v covectors per evaluation, and
-one more covector per track for the acceleration, where the plain one
-builds 1 + v; the second pass replaces a result only where it finds a root.
+curved valley. The careful step builds one more covector per track for the
+acceleration; the second pass replaces a result only where it finds a root.
 """
 
 from dataclasses import dataclass, field
@@ -142,11 +135,8 @@ MAX_ITER = 200
 # max(1, |z|)
 PLATEAU_ITER = 60
 PLATEAU_TOL = 1e-4
-# step of the central differences in the vertical covector, relative to
-# max(1, |Q_V|), of the careful second pass of the module docstring and of
-# the conjugate scan; probe of the careful pass's geodesic acceleration and
+# probe of the careful pass's geodesic acceleration (module docstring) and
 # the largest |a| / |delta| it is taken at, over 2
-CENTRAL_STEP = 6e-6
 ACCEL_PROBE = 0.1
 ACCEL_RATIO = 0.75
 SPHERE_REL_TOL = 1e-5
@@ -357,34 +347,14 @@ def _start_grid(group, targets, starts):
     return w0, eta0, T0
 
 
-def _exp_jacobian(group, x0, P, t, central):
-    """x(t) = exp(P)(t) from x0 and its Jacobian J[..., r, i] = dx_r / dP_i,
-    of shapes B + (n,) and B + (n, n), from one jet of one build.
-
-    The build stacks P over its copies perturbed in P_V on a new leading
-    batch axis, v of them for forward differences with step
-    1e-6 max(1, |P_V|), 2v for central ones with step CENTRAL_STEP
-    max(1, |P_V|). Its jet along the unit vectors e_i gives x(t) on every
-    row and the h exact horizontal columns on P's own row alone, in one
-    pass. t broadcasts against the batch of P.
-    """
-    h, v = group.h, group.v
-    # t's axes beyond P's batch go between the stacked copies and P's batch
-    lead = max(np.ndim(t) - P.ndim + 1, 0)
-    signs = np.array([1.0, -1.0] if central else [1.0])
-    se = (CENTRAL_STEP if central else 1e-6) * np.maximum(1.0, np.abs(P[..., h:]))
-    Pe = np.broadcast_to(P, (1 + signs.size * v,) + P.shape).copy()
-    shifts = np.multiply.outer(signs, se)
-    for a in range(v):
-        Pe[1 + a :: v, ..., h + a] += shifts[..., a]
-    Pe = Pe.reshape(Pe.shape[:1] + (1,) * lead + P.shape)
-    pts, dH = ClosedFormPath(group=group, x0=x0, P0=Pe)._jet(
-        t, np.eye(h).reshape((h,) + (1,) * (Pe.ndim - 2) + (h,)), True
-    )
-    diff = pts[1 : 1 + v] - (pts[1 + v :] if central else pts[0])
-    J = np.moveaxis(np.concatenate([dH, diff]), 0, -1)
-    J[..., h:] /= signs.size * se[..., None, :]
-    return pts[0], J
+def _exp_jacobian(group, x0, P, t):
+    """x(t) = exp(P)(t) from x0, bit for bit as ``point`` gives it, and its
+    exact Jacobian J[..., r, i] = dx_r / dP_i, of shapes B + (n,) and
+    B + (n, n), from one build of the covectors P; t broadcasts against P."""
+    h, nd = group.h, max(np.ndim(x0) - 1, np.ndim(P) - 1, np.ndim(t))
+    dPH = np.eye(h).reshape((h,) + (1,) * nd + (h,))
+    x, d = ClosedFormPath(group=group, x0=x0, P0=P)._jet(t, dPH, True)
+    return x, np.moveaxis(d, 0, -1)
 
 
 def _careful_step(group, J, x, y, lam, Q):
@@ -433,9 +403,8 @@ def _shoot(group, targets, starts, max_iter, careful=False):
     unconverged, as do tracks still on a plateau after PLATEAU_ITER
     iterations of their own. Each evaluation (a track's first, and every
     candidate) is one ``_exp_jacobian`` at time 1 from the origin, one build
-    of 1 + v covectors whose jet gives the endpoint and all Jacobian
-    columns. ``careful`` takes the second pass's step (``_careful_step``,
-    central differences in Q_V from builds of 1 + 2v covectors, the damping
+    of the covectors that gives the endpoint and all Jacobian columns.
+    ``careful`` takes the second pass's step (``_careful_step``, the damping
     floor at 1e-20) in place of the normal equations. Returns per-track
     arrays of shape (m, starts): unit directions Q_H / |Q_H|, covectors
     Q_V / |Q_H|, times |Q_H|, residual norms (inf where a track never
@@ -467,7 +436,7 @@ def _shoot(group, targets, starts, max_iter, careful=False):
     while True:
         if wake.any():
             o = np.nonzero(wake)[0]
-            x[o], Jac[o] = _exp_jacobian(group, np.zeros(n), Q[o], 1.0, careful)
+            x[o], Jac[o] = _exp_jacobian(group, np.zeros(n), Q[o], 1.0)
             fn[o] = np.linalg.norm(x[o] - y[o], axis=1)
             opened[o] = True
             new = wake & (fn <= track_tol)
@@ -501,7 +470,7 @@ def _shoot(group, targets, starts, max_iter, careful=False):
 
         Qc = Qa + delta
         # the candidate's build is the next iteration's base if it is accepted
-        xc, Jc = _exp_jacobian(group, np.zeros(n), Qc, 1.0, careful)
+        xc, Jc = _exp_jacobian(group, np.zeros(n), Qc, 1.0)
         fnc = np.linalg.norm(xc - ya, axis=1)
         better = np.isfinite(fnc) & (fnc < fna)
 
@@ -1008,7 +977,7 @@ def _conjugate_brackets(group, x0, P0, t_max, samples):
     minimum of |det| below 1e-4 of ref, its largest within 25 samples.
     """
     ts = np.linspace(0.0, float(t_max), int(samples) + 1)[1:]
-    det = np.linalg.det(_exp_jacobian(group, x0, P0, ts, True)[1])
+    det = np.linalg.det(_exp_jacobian(group, x0, P0, ts)[1])
     sign, mag = np.sign(det), np.abs(det)
     cross = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     ref = np.array([mag[max(0, i - 25) : i + 26].max() for i in range(mag.size)])
@@ -1027,7 +996,7 @@ def _conjugate_roots(group, x0, P0, lo, hi, n_cross, ref):
         if act.size == 0:
             break
         t = lo[act, None] + (hi - lo)[act, None] * frac
-        d = np.linalg.det(_exp_jacobian(group, x0, P0, t, True)[1])
+        d = np.linalg.det(_exp_jacobian(group, x0, P0, t)[1])
         # a sign change lies before the first sample off the left end's side
         j = np.argmax(np.sign(d[:, 1:]) * np.sign(d[:, :1]) <= 0.0, axis=1)
         # a dip's minimum lies within one sample of its smallest sample
@@ -1040,7 +1009,7 @@ def _conjugate_roots(group, x0, P0, lo, hi, n_cross, ref):
     mid = 0.5 * (lo + hi)
     dips = mid[n_cross:]
     if dips.size:
-        d = np.linalg.det(_exp_jacobian(group, x0, P0, dips, True)[1])
+        d = np.linalg.det(_exp_jacobian(group, x0, P0, dips)[1])
         dips = dips[np.abs(d) < 1e-8 * ref]
     return np.concatenate([mid[:n_cross], dips])
 
@@ -1048,8 +1017,8 @@ def _conjugate_roots(group, x0, P0, lo, hi, n_cross, ref):
 def conjugate_detect(group, x0, P0, t_max, samples=CONJ_SAMPLES):
     """Times in (0, t_max] where the exponential's Jacobian degenerates.
 
-    The determinant is that of ``_exp_jacobian`` (central in P_V), one
-    build of 1 + 2v covectors at any number of times. One scan of it at
+    The determinant is that of ``_exp_jacobian``, exact in every column,
+    from one build of the covector at any number of times. One scan of it at
     ``samples`` uniform times brackets two kinds of candidate: sign changes,
     and sign-preserving near-zeros (even-order crossings), caught as local
     minima of |det| below 1e-4 of the largest |det| within 25 samples on
@@ -1061,7 +1030,9 @@ def conjugate_detect(group, x0, P0, t_max, samples=CONJ_SAMPLES):
     the last one reported is dropped. The determinant vanishes at t = 0
     (the exponential collapses the vertical directions), monotonically in
     magnitude at small t, so nothing spurious is reported there. Raises
-    NonFiniteState for a non-finite x0 or P0.
+    NonFiniteState for a non-finite x0 or P0, and ValueError for a scan
+    coarser than pi / sigma_max(C_H(P0_V)), the spacing of h1's roots
+    (2 pi k / |eta| interleaved with 2 z_k / |eta|, tan z_k = z_k).
     """
     require_step2(group, "conjugate detection")
     if not (np.isfinite(t_max) and t_max > 0.0):
@@ -1071,6 +1042,13 @@ def conjugate_detect(group, x0, P0, t_max, samples=CONJ_SAMPLES):
     x0, P0 = group.point(x0), group.point(P0)
     if not (np.isfinite(x0).all() and np.isfinite(P0).all()):
         raise NonFiniteState("conjugate detection needs a finite x0 and P0")
+    sigma = _top_frequency(group, P0[group.h :])
+    if t_max * sigma > np.pi * samples:
+        raise ValueError(
+            "a scan of %d samples over t_max = %g steps over conjugate times,"
+            " which can lie pi / %.6g apart; it needs samples >= %d"
+            % (samples, t_max, sigma, np.ceil(t_max * sigma / np.pi))
+        )
     brackets = _conjugate_brackets(group, x0, P0, t_max, samples)
     out = []
     for t in np.sort(_conjugate_roots(group, x0, P0, *brackets)):

@@ -1,84 +1,62 @@
 """Closed-form normal geodesics on step-2 groups, and skew spectral tools.
 
 On a step-2 group the vertical momentum is constant along a normal geodesic,
-so the horizontal momentum obeys the linear equation P_H' = -M P_H with
-M = C_H(P_V) skew. On corank >= 2 everything flows from the spectral
-decomposition of M^T M: with (w, U) = eigh(M^T M) and sigma = sqrt(w),
+so the horizontal momentum obeys P_H' = -M P_H with M = C_H(P_V) skew. iM
+is Hermitian, so on corank >= 2 one (mu, V) = eigh(iM) per covector, with
+c = V^H P_H(0) and o the entrywise product, gives in closed form
 
-    e^{-Mt}      = U cos(sigma t) U^T - M U t sinc(sigma t) U^T
-    int_0^t e^{-Ms} ds = U t sinc(sigma t) U^T - M U t^2 hv(sigma t) U^T
+    P_H(s) = Re V (e^{i mu s} o c),
+    delta(s) = x_H(s) - x_H(0) = Re V (phi(s) o c),  phi(s) = s e^{i mu s/2} sinc(mu s/2),
 
-where sinc(z) = sin(z)/z and hv(z) = (1 - cos z)/z^2 are entire, so the
-formulas need no case split between regular and null frequencies. Horizontal
-components integrate to
+with sinc(z) = sin(z)/z entire, so null frequencies need no case split. Each
+vertical coordinate is x_a(t) = x_a(0) - I^a(t)/2, with the signed area
 
-    x_H(t) = x_H(0) + E(t) P_H(0),        E(t) = int_0^t e^{-Ms} ds,
+    I^a(t) = <C^a x_H(0), delta(t)> + int_0^t <C^a delta(s), P_H(s)> ds,
 
-and each vertical component is half a signed-area line integral,
+C^a = C^a_H, integrated by the Gauss-Legendre rule that the row's turn
+max|mu t| selects (carnot._trig.quadrature, about 0.55 nodes per radian).
+The differential in P(0) is exact from the same samples. Along dP_H,
+d delta = Re V (phi o V^H dP_H), dP_H(s) = e^{-Ms} dP_H, and one integration
+by parts (delta' = P_H, C^a skew) gives
 
-    x_a(t) = x_a(0) - (1/2) int_0^t <C^a_H x_H(s), x_H'(s)> ds,
+    dI^a = <C^a (x_H(0) - delta(t)), d delta(t)> + 2 int_0^t <C^a delta, dP_H> ds.
 
-which expands over the spectral basis into the four product integrals
-implemented in carnot._trig. With q = U^T P_H(0), W = q q^T and, per
-C = C^a_H, the coefficient tensors
+Along e_b in P_V, M moves by C_H(e_b), and the first divided difference of
+exp (Daleckii-Krein; Higham, Functions of Matrices, 2008, ch. 3) gives
+dP_H(s) = -V ((V^H C_H(e_b) V) o Phi(s)) c with
+Phi_pr(s) = s e^{i (mu_p + mu_r) s/2} sinc((mu_p - mu_r) s/2); d delta(t) is
+its integral by the same rule, and dI^a the same formula. So one build of a
+covector gives the point and every column of the exponential Q -> x(1; Q)
+that the shooting solver of carnot.distance inverts.
 
-    K1 = U^T C U,  K2 = U^T C (MU),  K3 = (MU)^T C U,  K4 = (MU)^T C (MU),
-
-the part of the integral quadratic in P_H(0) is
-
-    sum over p, r of  W_pr (K1 T1 - K2 T2 - K3 T3 + K4 T4)_pr,
-
-with T1..T4 the product integrals at (sigma_p t, sigma_r t) times t^2, t^3,
-t^3 and t^4. carnot._trig gives all four on every pair of a row's
-frequencies z = sigma t from one Gauss-Legendre rule, whose node count the
-row's largest turn sets, about 0.55 nodes per radian: a point costs more the
-further its geodesic turns. The K_k come from batched matrix products of CU
-and C(MU), and the four terms from one contraction of the stacked tensors.
-
-x_H(t) is linear and x_V(t) quadratic in P_H(0), so by polarization the
-derivative along a horizontal momentum dP_H is exact: E(t) dP_H, and
--(1/2) dq^T (G_a + G_a^T) q with dq = U^T dP_H, G_a = K1 T1 - K2 T2 - K3 T3
-+ K4 T4, plus the part linear in x_H(0). ``ClosedFormPath`` gets points,
-momenta and these derivatives from one set of factors in one core; at t = 1
-along the unit vectors e_i they are the exact horizontal columns of the
-exponential Q -> x(1; Q), which the shooting solver of carnot.distance
-inverts. Its builds (and the conjugate scan's) stack each covector over
-copies perturbed in P_V, which only difference the P_V columns, so there the
-core takes the derivatives, G_a and all that follows from it, on the first
-row of the stack alone, in the same pass and with the same bits.
-
-On corank 1 (v = 1, every Heisenberg group) none of this is needed.
-M = eta C^1 commutes with C^1, so in the canonical basis O of C^1
-(``skew_canonical``: planes j with frequencies lambda_j from one eigh of the
-Hermitian matrix i C^1, then the kernel), which is one per group, each plane
-just turns by theta_j = lambda_j eta t (Gaveau, Acta Math. 1977). With
-p = O^T P_H(0), rot_half the rotation by half an angle and
-s3(th) = (th - sin th)/th^3, both from carnot._trig,
+On corank 1 (v = 1, every Heisenberg group) M = eta C^1 commutes with C^1,
+so in the canonical basis O of C^1 (``skew_canonical``: planes j with
+frequencies lambda_j, then the kernel), one per group, each plane turns by
+theta_j = lambda_j eta t (Gaveau, Acta Math. 1977). With p = O^T P_H(0),
+rot_half the rotation by half an angle and s3(th) = (th - sin th)/th^3,
 
     x_H(t) - x_H(0) = O [t sinc(theta_j/2) rot_half(p_j, -theta_j); t p_ker]
     P_H(t)          = O [rot_half(p_j, -2 theta_j); p_ker]
     x_V(t) = x_V(0) - (1/2) <C^1 x_H(0), x_H(t) - x_H(0)>
              + (1/2) sum_j lambda_j |p_j|^2 t^2 theta_j s3(theta_j),
 
-O(h) per point with no eigendecomposition and no product integrals. The
-area term is a diagonal quadratic form in p, so its polarization gives the
-exact derivatives along dP_H as above.
+O(h) per point with no eigendecomposition and no quadrature. The area is a
+diagonal quadratic form in p, so its polarization gives the derivatives
+along dP_H; along eta, dP_H(s) = -s C^1 P_H(s), and they integrate plane by
+plane through sinc - hv and hv - s3, hv(z) = (1 - cos z)/z^2, all entire.
 
-All formulas are valid for negative t and broadcast over batches of
-covectors; t itself broadcasts against the batch shape, so a trailing grid
-axis on the batch gives whole trajectories in one call.
-
-A path is built one way, ``ClosedFormPath(group, x0, P0)``, and reached
-through ``exp_sr_2step``, the trace sampler of carnot.geodesics, or ``_jet``.
+All formulas hold for negative t; t broadcasts against the batch of
+covectors, so a trailing grid axis on the batch gives whole trajectories in
+one call. A path is built one way, ``ClosedFormPath(group, x0, P0)``.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _trig
-from .errors import NotSkew, WrongStep
+from .errors import NonFiniteState, NotSkew, WrongStep
 from .groups import CarnotGroup, c_operator
 
 __all__ = [
@@ -92,8 +70,6 @@ __all__ = [
 SKEW_TOL = 1e-12
 # frequencies at most FREQ_TOL times the largest one count as kernel
 FREQ_TOL = 1e-10
-# the powers of t that scale the product integrals t1..t4
-_T_POWERS = np.array([2.0, 3.0, 3.0, 4.0])
 
 
 def require_step2(group, what):
@@ -173,31 +149,21 @@ def _corank1_form(group):
 class ClosedFormPath:
     """A batch of closed-form normal geodesics on a step-2 group.
 
-    Holds the spectral data of M = C_H(P_V) so that points, momenta and
-    vertical increments at any collection of times come out of vectorized
-    kernel evaluations. Batch axes of x0 and P0 broadcast together; times
-    passed to the evaluation methods broadcast against that batch shape.
-    U is an eigenbasis of M^T M and q = U^T P_H(0). Every evaluation method
-    is a thin wrapper over ``_evaluate``, which holds the one branch on the
-    corank. On corank >= 2 the coefficient tensors K1..K4 of the module
-    docstring are kept as one tensor of shape batch + (v, 4, h, h), signs
-    folded in, which ``_evaluate`` contracts with W and the stacked product
-    integrals at once. On corank 1 there are no K tensors and no product
-    integrals: U is the canonical basis O of C^1, one per group, and
-    ``_evaluate`` works plane by plane in O(h) per point. A row's bits do
-    not depend on the other rows of its batch. ``__post_init__`` sets every
-    factor; ``with_horizontal`` is a fresh build. It, ``horizontal`` and
-    ``increments`` stay only for the benchmark's tracer, which wraps them by
-    name, until ROADMAP item 13 frees those names.
+    Batch axes of x0 and P0 broadcast together; times passed to the
+    evaluation methods broadcast against that batch shape. Every evaluation
+    method is a thin wrapper over ``_evaluate``, which holds the one branch
+    on the corank: on corank >= 2 ``_spectral`` works from (mu, V) =
+    eigh(iM), c = V^H P_H(0) and D_a = V^H C^a_H V; on corank 1 U is the
+    canonical basis O of C^1 and q = U^T P_H(0). A row's bits do not depend
+    on the other rows of its batch. A NaN or infinite x0 or P0 raises
+    NonFiniteState. ``with_horizontal``, ``horizontal`` and ``increments``
+    stay only for the benchmark's tracer, which wraps them by name, until
+    ROADMAP item 13 frees those names.
     """
 
     group: CarnotGroup
     x0: np.ndarray
     P0: np.ndarray
-    M: np.ndarray = field(init=False, repr=False)
-    U: np.ndarray = field(init=False, repr=False)
-    sigma: np.ndarray = field(init=False, repr=False)
-    q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.group
@@ -207,105 +173,152 @@ class ClosedFormPath:
         self.P0 = np.asarray(self.P0, dtype=float)
         if self.x0.shape[-1] != n or self.P0.shape[-1] != n:
             raise ValueError("x0 and P0 must have %d coordinates" % n)
+        if not (np.isfinite(self.x0).all() and np.isfinite(self.P0).all()):
+            raise NonFiniteState("the closed form needs a finite x0 and P0")
         batch = np.broadcast_shapes(self.x0.shape[:-1], self.P0.shape[:-1])
         self.x0 = np.broadcast_to(self.x0, batch + (n,))
         self.P0 = np.broadcast_to(self.P0, batch + (n,))
         self.batch = batch
 
-        CH = g.CH
-        self._CHx0 = np.einsum("vij,...j->...vi", CH, self.x0[..., :h])
+        self._CHx0 = np.einsum("vij,...j->...vi", g.CH, self.x0[..., :h])
         if g.v == 1:
             form = _corank1_form(g)
             self.U, self._lam = form.O, form.lambdas
             self._eta = self.P0[..., h, None]
+            self.q = np.einsum("...ip,...i->...p", self.U, self.P0[..., :h])
         else:
-            M = c_operator(g, self.P0[..., h:], horizontal=True)
-            w, U = np.linalg.eigh(np.swapaxes(M, -1, -2) @ M)
-            self.M, self.U = M, U
-            self.sigma = np.sqrt(np.clip(w, 0.0, None))
-            # K1..K4 of the module docstring, stacked; -MU folds in the
-            # signs +, -, -, + of the four terms exactly
-            nMU = -(M @ U)[..., None, :, :]
-            Ut = np.swapaxes(U, -1, -2)[..., None, :, :]
-            nMUt = np.swapaxes(nMU, -1, -2)
-            CU = CH @ U[..., None, :, :]
-            nCMU = CH @ nMU
-            self._K = np.empty(self.batch + (g.v, 4, h, h))
-            np.matmul(Ut, CU, out=self._K[..., 0, :, :])
-            np.matmul(Ut, nCMU, out=self._K[..., 1, :, :])
-            np.matmul(nMUt, CU, out=self._K[..., 2, :, :])
-            np.matmul(nMUt, nCMU, out=self._K[..., 3, :, :])
-        self.q = np.einsum("...ip,...i->...p", self.U, self.P0[..., :h])
-        if g.v > 1:
-            self._W = self.q[..., :, None] * self.q[..., None, :]
+            mu, V = np.linalg.eigh(1j * c_operator(g, self.P0[..., h:], horizontal=True))
+            Vc = V.conj()
+            c = (self.P0[..., None, :h] @ Vc)[..., 0, :]
+            # D[..., a, :, :] = V^H C^a_H V, as which C^a acts on coefficients
+            D = np.swapaxes(Vc, -1, -2)[..., None, :, :] @ g.CH @ V[..., None, :, :]
+            self._spec = mu, V, c, D
 
-    def _evaluate(self, t, momentum=False, dPH=None, first=False):
+    def _evaluate(self, t, momentum=False, dPH=None, vertical=False):
         """x_H(t) - x_H(0), P_H(t) if ``momentum``, I(t) and, given ``dPH``
-        (horizontal momenta stacked as in ``jet``), the pair of derivatives
-        of x_H(t) and I(t) along each; None for what is not asked. With
-        ``first`` the derivatives are taken on the first row of the batch's
-        leading axis alone, which t must not extend, and that axis is
-        dropped from them (dPH then broadcasts against the rest). One set of
-        factors serves all: on corank >= 2 t sinc(sigma t) and
-        t^2 hv(sigma t), the diagonals of E(t) in the eigenbasis, and the
-        product integrals; on corank 1 the turns theta_j = lambda_j eta t.
-        """
+        (stacked as in ``jet``), the derivatives of (x_H(t) - x_H(0), I(t))
+        along each, shape (j,) + S + (h + v,), followed with ``vertical`` by
+        those along the unit vectors of P_V; None for what is not asked."""
         t = np.asarray(t, dtype=float)
         tB = np.broadcast_to(t, np.broadcast_shapes(self.batch, t.shape))
-        ts = tB[..., None]
-        q, ph = self.q, None
-        # the rows the derivatives are taken on: all, or the first alone
-        r = 0 if first else Ellipsis
-        if self.group.v == 1:
-            theta = self._lam * (self._eta * ts)
+        if self.group.v > 1:
+            delta, ph, I, DH, DV = self._spectral(tB, momentum, dPH is not None, vertical)
+            if dPH is None:
+                return delta, ph, I, None
+            d = (DH @ np.asarray(dPH, float)[..., None])[..., 0]
+        else:
+            ts = tB[..., None]
+            q, lam, CH = self.q, self._lam, self.group.CH
+            theta = lam * (self._eta * ts)
             R = theta.shape[-1]
             # the signed area per unit |q_j|^2 that plane j sweeps, twice the
             # area term's share
-            a = self._lam * ts * ts * theta * _trig.s3(theta)
+            a = lam * ts * ts * theta * _trig.s3(theta)
 
             def area(a, q, u):
                 qu = q[..., : 2 * R] * u[..., : 2 * R]
                 return (a * (qu[..., 0::2] + qu[..., 1::2])).sum(axis=-1)[..., None]
 
             delta, ph = self._planes(q, ts, theta, momentum)
-            J = -area(a, q, q)
-            if dPH is not None:
-                dq = np.einsum("...ip,...i->...p", self.U, np.asarray(dPH, float))
-                ddelta = self._planes(dq, ts[r], theta[r], False)[0]
-                dJ = -2.0 * area(a[r], q[r], dq)
-        else:
-            z = ts * np.broadcast_to(self.sigma, tB.shape + self.sigma.shape[-1:])
-            sz, hz = _trig.sinc(z), _trig.hv(z)
-            s, e = ts * sz, ts * ts * hz
-            sq = s * q
-            delta = self._spread(sq, e * q)
-            if momentum:
-                ph = self._spread(np.cos(z) * q, sq)
-            # [t^2 T1, t^3 T2, t^3 T3, t^4 T4], stacked as _K is
-            T = _trig.products(z)
-            T *= (ts ** _T_POWERS)[..., None, None]
-            # the four terms of the stacked contraction are summed in order,
-            # as four separate contractions would be
-            Jk = np.einsum("...vkab,...ab,...kab->...vk", self._K, self._W, T)
-            J = Jk[..., 0] + Jk[..., 1] + Jk[..., 2] + Jk[..., 3]
-            if dPH is not None:
-                dq = np.einsum("...ip,...i->...p", self.U[r], np.asarray(dPH, float))
-                G = np.einsum("...vkab,...kab->...vab", self._K[r], T[r])
-                Gq = np.einsum("...vab,...b->...va", G + np.swapaxes(G, -1, -2), q[r])
-                ddelta = self._spread(s[r] * dq, e[r] * dq, r)
-                dJ = np.einsum("...va,...a->...v", Gq, dq)
-        I = np.einsum("...vj,...j->...v", self._CHx0, delta) + J
-        if dPH is None:
-            return delta, ph, I, None
-        dI = np.einsum("...vj,...j->...v", self._CHx0[r], ddelta) + dJ
-        return delta, ph, I, (ddelta, dI)
+            I = np.einsum("...vj,...j->...v", self._CHx0, delta) - area(a, q, q)
+            if dPH is None:
+                return delta, ph, I, None
+            dq = np.einsum("...ip,...i->...p", self.U, np.asarray(dPH, float))
+            ddelta = self._planes(dq, ts, theta, False)[0]
+            dI = np.einsum("...vj,...j->...v", self._CHx0, ddelta) - 2.0 * area(a, q, dq)
+            d = np.concatenate([ddelta, dI], axis=-1)
+            if vertical:
+                # along eta plane j moves by -lambda_j t^2 (theta k p_j +
+                # (sinc - hv) J p_j), k = hv - s3, J p = (p_2, -p_1), and
+                # the pairing integrates to -t^3 sum_j lambda_j^2 |p_j|^2 k
+                k = _trig.hv(theta) - _trig.s3(theta)
+                p = q[..., : 2 * R].reshape(q.shape[:-1] + (R, 2))
+                lt2 = lam * ts * ts
+                sc = (_trig.sinc(theta) - _trig.hv(theta))[..., None]
+                sh = (theta * k)[..., None] * p + sc * p[..., ::-1] * [1.0, -1.0]
+                sh = (-lt2[..., None] * sh).reshape(sh.shape[:-2] + (2 * R,))
+                de = np.einsum("ip,...p->...i", self.U[:, : 2 * R], sh)
+                r = self._CHx0 - np.einsum("vij,...j->...vi", CH, delta)
+                pair = (lt2 * lam * (p * p).sum(axis=-1) * k).sum(axis=-1)[..., None]
+                dI = np.einsum("...vj,...j->...v", r, de) - 2.0 * ts * pair
+                DV = np.concatenate([de, dI], axis=-1)[..., None]
+        if vertical:
+            DV = np.moveaxis(DV, -1, 0)
+            d = np.concatenate([d, np.broadcast_to(DV, DV.shape[:1] + d.shape[1:])])
+        return delta, ph, I, d
 
-    def _spread(self, a, b, r=Ellipsis):
-        """U a - M U b, back from eigenbasis coefficients a and b, with U
-        and M of the rows ``r`` of the batch's leading axis."""
-        return np.einsum("...ip,...p->...i", self.U[r], a) - np.einsum(
-            "...ik,...kp,...p->...i", self.M[r], self.U[r], b
-        )
+    def _spectral(self, tB, momentum, derivs, vertical):
+        """Corank >= 2: x_H(t) - x_H(0), P_H(t) if ``momentum``, I(t), and
+        with ``derivs`` the derivatives of (x_H(t) - x_H(0), I(t)) along
+        the unit vectors of P_H, shape S + (h + v, h), with ``vertical``
+        those along the unit vectors of P_V, S + (h + v, v), else None.
+
+        In the eigenbasis delta = V f, P_H = V e, dP_H = -V (D_b o Phi) c
+        along e_b (f = phi o c, e = e^{i mu s} o c), and C^a acts as D_a.
+        So each row sums, over the nodes s_k = t u_k of its rule,
+        B_pq = sum_k w_k e^{-i mu_p s_k} f_q and for the P_V derivatives
+        Psi_pr = sum_k w_k Phi_pr c_r and L_qpr = sum_k w_k f_q
+        conj(Phi_pr c_r); I and every derivative contract them with D.
+        """
+        h, v = self.group.h, self.group.v
+        S, rows = tB.shape, tB.size
+        t = tB.reshape(rows)
+
+        def per_row(a, k):
+            tail = a.shape[a.ndim - k :]
+            a = a if a.shape[: a.ndim - k] == S else np.broadcast_to(a, S + tail)
+            return a.reshape((rows,) + tail)
+
+        mu, V, c, D = (per_row(a, k) for a, k in zip(self._spec, (1, 2, 1, 3)))
+
+        def panel(sel, u, w):
+            s = t[sel, None] * u
+            z = 0.5 * s[..., None] * mu[sel, None]
+            eh = np.exp(1j * z)
+            ceh = c[sel, None] * eh
+            f = (s[..., None] * _trig.sinc(z)) * ceh
+            out = [np.swapaxes((eh * eh).conj() * w[:, None], -1, -2) @ f]
+            if vertical:
+                # Phi_pr c_r = s e^{i(mu_p + mu_r)s/2} sinc((mu_p - mu_r)s/2) c_r
+                Phic = (s[..., None] * eh)[..., None] * _trig.sinc(z[..., None] - z[..., None, :])
+                Phic = (Phic * ceh[..., None, :]).reshape(z.shape[:2] + (h * h,))
+                out += [w @ Phic, np.swapaxes(f * w[:, None], -1, -2) @ Phic.conj()]
+            return out
+
+        shapes = [(h, h), (h * h,), (h, h * h)][: 3 if vertical else 1]
+        sums = [np.full((rows,) + sh, np.nan, dtype=complex) for sh in shapes]
+        z = mu * t[:, None]
+        _trig.quadrature(np.abs(z).max(axis=-1, initial=0.0), panel, sums)
+
+        Vt, Vc = np.swapaxes(V, -1, -2), V.conj()
+        phi = t[:, None] * np.exp(0.5j * z) * _trig.sinc(0.5 * z)
+        delta = ((phi * c)[:, None] @ Vt)[:, 0].real
+        CHx0 = per_row(self._CHx0, 2)
+        # G_ap = sum_q D_apq B_pq, and the area is Re sum_p conj(c_p) G_ap
+        G = (D * sums[0][:, None]).sum(axis=-1)
+        I = (CHx0 * delta[:, None]).sum(-1) + t[:, None] * (G * c.conj()[:, None]).sum(-1).real
+        ph = ((np.exp(1j * z) * c)[:, None] @ Vt)[:, 0].real.reshape(S + (h,)) if momentum else None
+        out = [delta.reshape(S + (h,)), ph, I.reshape(S + (v,)), None, None]
+        if not derivs:
+            return out
+        # V^H C^a (x_H(0) - delta(t)), which d delta(t) pairs with in each dI
+        r = CHx0 @ Vc - ((phi * c)[:, None, None] @ np.swapaxes(D, -1, -2))[:, :, 0]
+        tt = t[:, None, None]
+        E = ((V * phi[:, None]) @ np.swapaxes(Vc, -1, -2)).real
+        grad = ((phi.conj()[:, None] * r + 2.0 * tt * G) @ Vt).real
+        out[3] = np.concatenate([E, grad], axis=-2).reshape(S + (h + v, h))
+        if vertical:
+            # sum_k w_k V^H dP_H(s_k) along e_b is -Xw_b, Xw_bp = sum_r
+            # D_bpr Psi_pr; its pairing is -Re sum_pr conj(D_bpr) Z_apr,
+            # Z_apr = sum_q D_apq L_qpr
+            Xw = (D * sums[1].reshape(rows, 1, h, h)).sum(axis=-1)
+            L = np.swapaxes(sums[2].reshape(rows, h, h, h), 1, 2)
+            Z = np.swapaxes(np.swapaxes(D, 1, 2) @ L, 1, 2).reshape(rows, v, h * h)
+            pair = (D.conj().reshape(rows, v, h * h) @ np.swapaxes(Z, -1, -2)).real
+            dd = -tt * (Xw @ Vt).real
+            dI = -tt * ((Xw @ np.swapaxes(r.conj(), -1, -2)).real + 2.0 * pair)
+            out[4] = np.swapaxes(np.concatenate([dd, dI], axis=-1), -1, -2).reshape(S + (h + v, v))
+        return out
 
     def _planes(self, q, ts, theta, momentum):
         """Corank 1: x_H(t) - x_H(0), and P_H(t) if ``momentum`` (else
@@ -338,34 +351,34 @@ class ClosedFormPath:
         """All vertical line integrals I^a(t), shape B + (v,)."""
         return self._evaluate(t)[2]
 
-    def point(self, t, return_momentum=False):
+    def _x(self, delta, I):
+        """x(t) from x_H(t) - x_H(0) and the signed areas I(t)."""
         h = self.group.h
+        return np.concatenate([self.x0[..., :h] + delta, self.x0[..., h:] - 0.5 * I], axis=-1)
+
+    def point(self, t, return_momentum=False):
         delta, ph, I, _ = self._evaluate(t, momentum=return_momentum)
-        xv = self.x0[..., h:] - 0.5 * I
-        x = np.concatenate([self.x0[..., :h] + delta, xv], axis=-1)
         if not return_momentum:
-            return x
-        pv = np.broadcast_to(self.P0[..., h:], xv.shape)
-        return x, np.concatenate([ph, pv], axis=-1)
+            return self._x(delta, I)
+        pv = np.broadcast_to(self.P0[..., self.group.h :], I.shape)
+        return self._x(delta, I), np.concatenate([ph, pv], axis=-1)
 
     def jet(self, t, dPH):
         """x(t) and its derivatives along horizontal momenta.
 
         ``dPH`` stacks j horizontal momenta, shape (j,) + S + (h,) with S
         broadcasting against the batch and t. Returns x(t), bit for bit as
-        ``point`` gives it, and the derivatives of x(t) in P_H(0) along each
-        dPH, shape (j,) + B + (n,), exact by polarization (see the module
-        docstring), from the factors that give x(t).
+        ``point`` gives it, and the exact derivatives of x(t) in P_H(0)
+        along each dPH, shape (j,) + B + (n,), from the same samples.
         """
         return self._jet(t, dPH, False)
 
-    def _jet(self, t, dPH, first):
-        """``jet``; with ``first`` its derivatives on row 0 alone (``_evaluate``)."""
-        h = self.group.h
-        delta, _, I, (ddelta, dI) = self._evaluate(t, dPH=dPH, first=first)
-        xv = self.x0[..., h:] - 0.5 * I
-        x = np.concatenate([self.x0[..., :h] + delta, xv], axis=-1)
-        return x, np.concatenate([ddelta, -0.5 * dI], axis=-1)
+    def _jet(self, t, dPH, vertical):
+        """``jet``; with ``vertical`` the derivatives along the unit vectors
+        of P_V follow those along dPH."""
+        delta, _, I, d = self._evaluate(t, dPH=dPH, vertical=vertical)
+        d[..., self.group.h :] *= -0.5
+        return self._x(delta, I), d
 
     def with_horizontal(self, PH):
         """The path from the same x0 and P_V with horizontal momentum PH,

@@ -17,8 +17,8 @@ step (the acceptance sweeps rely on this). On step-2 groups of corank 1
 Acta Math. 1977), and ``carnot.expmap.ClosedFormPath`` evaluates it, exact
 up to rounding. There ``integrate_normal`` returns those samples, since RK4
 only reproduces them to rounding at about four times the cost. Every other
-group, corank >= 2 on step 2 included (its closed form pays the h x h
-product integrals at every sample and is slower there), is advanced by a
+group, corank >= 2 on step 2 included (its closed form pays a quadrature
+of the signed area at every sample and is slower there), is advanced by a
 fixed-step RK4 scheme, ``_integrate_rk4``. The closed-form samples come
 from one sampler, ``_closed_form``, which evaluates CLOSED_FORM_CHUNK times
 at a time, bounding the temporaries without changing a bit, and refuses

@@ -125,6 +125,8 @@ def test_out_of_range_values_exit_2(capsys):
         (conjugate + ["--t-max", "10", "--samples", "0"], "samples"),
         (conjugate + ["--t-max", "10", "--samples", "1"], "samples"),
         (conjugate + ["--t-max", "0"], "t_max"),
+        # conjugate times pi apart: 400 samples cannot scan 1e4 of them
+        (conjugate + ["--t-max", "10000"], "samples >= 3184"),
         (["sphere", "--group", "h1", "--center", "0,0,0", "--radius", "0"],
          "radius"),
         (["surface", "metric-normal", "--group", "h1", "--f", "x1",

@@ -209,10 +209,11 @@ def test_unconverged_target_retried_on_inverse():
     assert np.max(np.abs(reached - y)) < 1e-9
 
 
-def test_shooting_builds_v_plus_one_covectors_per_iteration(monkeypatch):
+def test_shooting_builds_one_covector_per_track_per_evaluation(monkeypatch):
     # every evaluation (a start's first and each candidate) is one build of
-    # the point and its v perturbed covectors; an accepted candidate's build
-    # is the next base, so an iteration builds nothing else
+    # the tracks' covectors alone, whose jet gives the endpoint and every
+    # Jacobian column; an accepted candidate's build is the next base, so an
+    # iteration builds nothing else
     built = []
 
     class Counted(distance.ClosedFormPath):
@@ -227,14 +228,14 @@ def test_shooting_builds_v_plus_one_covectors_per_iteration(monkeypatch):
         g, np.array([[0.0, 0.0, 0.0, 3.0, -1.0]]), starts, k
     )
     assert not conv.any()  # every track stays active for all k iterations
-    assert sum(built) == starts * (k + 1) * (g.v + 1)
+    assert sum(built) == starts * (k + 1)
 
 
 def test_target_certified_by_its_first_start_opens_no_other(monkeypatch):
     # a corank-3 target whose first start converges to a certified root
-    # builds only that start's covectors: one build of the point and its v
-    # perturbed covectors per evaluation, where opening the other starts
-    # would build more rows at once
+    # builds only that start's covector: one build of one covector per
+    # evaluation, where opening the other starts would build more rows at
+    # once
     built = []
 
     class Counted(distance.ClosedFormPath):
@@ -251,49 +252,67 @@ def test_target_certified_by_its_first_start_opens_no_other(monkeypatch):
     assert conv[0, 0] and not conv[0, 1:].any()
     assert distance._top_frequency(g, eta[0, 0]) * T[0, 0] < 2.0 * np.pi
     assert len(built) > 1
-    assert built == [g.v + 1] * len(built)
+    assert built == [1] * len(built)
 
 
-def test_one_build_gives_the_endpoint_and_every_column():
-    # the stacked build's row 0 is a jet of the covectors alone along the
-    # unit horizontal momenta, and its P_V columns are differences of
-    # separately built perturbed ones, bit for bit: in shooting's call shape
-    # (a batch of covectors at time 1 from the origin) and in the conjugate
-    # scan's (one covector from a point off the origin on a grid of times)
-    g = random_two_step(4, 3, np.random.default_rng(21))
-    h, v, n = g.h, g.v, g.n
-    rng = np.random.default_rng(22)
-    w = rng.normal(size=(24, h))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    eta = rng.normal(size=(24, v)) * np.array([0.3, 2.0, 0.02])
-    T = rng.uniform(0.2, 3.0, 24)
-    Q = T[:, None] * np.concatenate([w, eta], axis=1)
-    origin, x0 = np.zeros(n), rng.uniform(-1.0, 1.0, n)
-    ts = np.linspace(0.0, 6.0, 41)[1:]
-    cases = [(origin, Q, 1.0, False), (origin, Q, 1.0, True), (x0, Q[5], ts, True)]
-    for x0, P, t, central in cases:
-        x, dH = distance.ClosedFormPath(group=g, x0=x0, P0=P).jet(
-            t, np.eye(h)[:, None]
-        )
+def test_one_build_gives_the_endpoint_and_every_column(monkeypatch):
+    # one build of the covectors themselves gives the endpoint, bit for bit
+    # as point gives it, the horizontal columns, bit for bit as the jet along
+    # the unit horizontal momenta gives them, and the P_V columns; a row's
+    # bits are those it gets alone: in shooting's call shape (a batch of
+    # covectors at time 1 from the origin) and in the conjugate scan's (one
+    # covector from a point off the origin on a grid of times), on corank 3
+    # and corank 1
+    builds = []
 
-        def shifted(a, step):
-            Ps = P.copy()
-            Ps[..., h + a] += step
-            return distance.ClosedFormPath(group=g, x0=x0, P0=Ps).point(t)
+    class Counted(distance.ClosedFormPath):
+        def __post_init__(self):
+            super().__post_init__()
+            builds.append(1)
 
-        xj, J = distance._exp_jacobian(g, x0, P, t, central)
-        assert np.array_equal(xj, x)
-        assert np.array_equal(J[..., :h], np.moveaxis(dH, 0, -1))
-        step = distance.CENTRAL_STEP if central else 1e-6
-        se = step * np.maximum(1.0, np.abs(P[..., h:]))
-        for a in range(v):
-            if central:
-                col = (shifted(a, se[..., a]) - shifted(a, -se[..., a])) / (
-                    2 * se[..., a, None]
-                )
-            else:
-                col = (shifted(a, se[..., a]) - x) / se[..., a, None]
-            assert np.array_equal(J[..., h + a], col)
+    monkeypatch.setattr(distance, "ClosedFormPath", Counted)
+    for g in (random_two_step(4, 3, np.random.default_rng(21)), hn(2)):
+        h, v, n = g.h, g.v, g.n
+        rng = np.random.default_rng(22)
+        w = rng.normal(size=(24, h))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        eta = rng.normal(size=(24, v)) * np.array([0.3, 2.0, 0.02])[:v]
+        T = rng.uniform(0.2, 3.0, 24)
+        Q = T[:, None] * np.concatenate([w, eta], axis=1)
+        origin, x0 = np.zeros(n), rng.uniform(-1.0, 1.0, n)
+        ts = np.linspace(0.0, 6.0, 41)[1:]
+        for x0, P, t in [(origin, Q, 1.0), (x0, Q[5], ts)]:
+            builds.clear()
+            xj, J = distance._exp_jacobian(g, x0, P, t)
+            assert len(builds) == 1
+            path = distance.ClosedFormPath(group=g, x0=x0, P0=P)
+            x, dH = path.jet(t, np.eye(h)[:, None])
+            assert np.array_equal(xj, path.point(t))
+            assert np.array_equal(xj, x)
+            assert np.array_equal(J[..., :h], np.moveaxis(dH, 0, -1))
+            assert J.shape == x.shape + (n,) and np.isfinite(J).all()
+            for i in (0, 3, 17):
+                Pi, ti = (P[i], t) if P.ndim == 2 else (P, t[i])
+                xi, Ji = distance._exp_jacobian(g, x0, Pi, ti)
+                assert np.array_equal(xi, xj[i]) and np.array_equal(Ji, J[i])
+
+
+def _richardson(g, x0, P, t, step):
+    """Richardson's extrapolation of central differences of ``point`` in
+    every coordinate of P, with steps ``step`` and step / 2."""
+
+    def central(i, s):
+        Pp, Pm = P.copy(), P.copy()
+        Pp[..., i] += s
+        Pm[..., i] -= s
+        plus = distance.ClosedFormPath(group=g, x0=x0, P0=Pp).point(t)
+        minus = distance.ClosedFormPath(group=g, x0=x0, P0=Pm).point(t)
+        return (plus - minus) / (2.0 * s)
+
+    return np.stack(
+        [(4.0 * central(i, 0.5 * step) - central(i, step)) / 3.0 for i in range(g.n)],
+        axis=-1,
+    )
 
 
 @pytest.mark.parametrize(
@@ -301,51 +320,66 @@ def test_one_build_gives_the_endpoint_and_every_column():
 )
 def test_exp_jacobian_matches_richardson_and_left_invariance(g):
     # away from the origin and on a 2-D grid of times (one column per
-    # covector): the horizontal columns are exact, the vertical ones carry
-    # their difference's own error, and left translation keeps det
+    # covector): every column is exact, and left translation keeps det
     h, n = g.h, g.n
     rng = np.random.default_rng(32)
     P = rng.normal(size=(3, n))
     P[:, :h] /= np.linalg.norm(P[:, :h], axis=1, keepdims=True)
     x0 = rng.uniform(-1.0, 1.0, n)
     t = rng.uniform(0.2, 2.5, (4, 3))
-
-    def central(i, step):
-        s = step * np.maximum(1.0, np.abs(P[:, i]))
-        Pp, Pm = P.copy(), P.copy()
-        Pp[:, i] += s
-        Pm[:, i] -= s
-        plus = distance.ClosedFormPath(group=g, x0=x0, P0=Pp).point(t)
-        minus = distance.ClosedFormPath(group=g, x0=x0, P0=Pm).point(t)
-        return (plus - minus) / (2.0 * s[:, None])
-
-    ref = np.stack(
-        [(4.0 * central(i, 5e-4) - central(i, 1e-3)) / 3.0 for i in range(n)], axis=-1
-    )
+    ref = _richardson(g, x0, P, t, 1e-3)
     scale = np.abs(ref).max()
-    for is_central, tol_v in ((False, 1e-5), (True, 1e-9)):
-        x, J = distance._exp_jacobian(g, x0, P, t, is_central)
-        assert np.array_equal(x, distance.ClosedFormPath(group=g, x0=x0, P0=P).point(t))
-        assert np.abs(J[..., :h] - ref[..., :h]).max() < 1e-7 * scale
-        assert np.abs(J[..., h:] - ref[..., h:]).max() < tol_v * scale
-    # the central differences alone put det within about 1.2e-9 of max |det|
-    # of the Richardson one on h4v3
+    x, J = distance._exp_jacobian(g, x0, P, t)
+    assert np.array_equal(x, distance.ClosedFormPath(group=g, x0=x0, P0=P).point(t))
+    assert np.abs(J[..., :h] - ref[..., :h]).max() < 1e-9 * scale
+    assert np.abs(J[..., h:] - ref[..., h:]).max() < 1e-9 * scale
+    # the exact columns put det within rounding of the one at the origin
     det = np.linalg.det(J)
-    det0 = np.linalg.det(distance._exp_jacobian(g, np.zeros(n), P, t, True)[1])
-    assert np.abs(det - det0).max() < 1e-8 * np.abs(det0).max()
+    det0 = np.linalg.det(distance._exp_jacobian(g, np.zeros(n), P, t)[1])
+    assert np.abs(det - det0).max() < 1e-12 * np.abs(det0).max()
 
 
-def test_careful_shooting_builds_one_plus_two_v_covectors(monkeypatch):
-    # the careful pass differences centrally: each evaluation builds the
-    # point and 2v perturbed covectors (the acceleration probes are
-    # one-row-per-track builds of their own)
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_two_step(4, 3, np.random.default_rng(31)),
+        random_two_step(5, 3, np.random.default_rng(41)),
+        random_two_step(6, 2, np.random.default_rng(61)),
+        hn(2),
+    ],
+    ids=["h4v3", "h5v3", "h6v2", "hn2"],
+)
+def test_exact_jacobian_matches_richardson_at_every_turn(g):
+    # every column, against Richardson's extrapolation of central
+    # differences, from a point off the origin at negative and positive
+    # times, with P_V from 1e-6 to 30 (turns up to about 190 rad); the step
+    # shrinks as the turn grows, where the differences' rounding would
+    # otherwise dominate
+    h, n = g.h, g.n
+    rng = np.random.default_rng(35)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    t = np.array([-2.0, -0.6, 0.3, 1.0, 2.5])
+    for scale in [1e-6, 1e-2, 1.0, 5.0, 30.0]:
+        P = rng.normal(size=(3, 1, n))
+        P[..., :h] /= np.linalg.norm(P[..., :h], axis=-1, keepdims=True)
+        P[..., h:] *= scale
+        turn = (distance._top_frequency(g, P[:, 0, h:])[:, None] * np.abs(t)).max()
+        x, J = distance._exp_jacobian(g, x0, P, t)
+        assert np.array_equal(x, distance.ClosedFormPath(group=g, x0=x0, P0=P).point(t))
+        ref = _richardson(g, x0, P, t, 3e-3 / (1.0 + turn / 100.0))
+        assert np.abs(J - ref).max() <= 1e-9 * np.abs(J).max(), (scale, turn)
+
+
+def test_careful_shooting_builds_one_covector_per_track(monkeypatch):
+    # the careful pass evaluates as the plain one does: one build of the
+    # tracks' covectors alone per evaluation (the acceleration probes are
+    # builds of their own, through exp_sr_2step)
     evals = []
 
     class Counted(distance.ClosedFormPath):
         def __post_init__(self):
             super().__post_init__()
-            if len(self.batch) == 2:
-                evals.append(self.batch)
+            evals.append(self.batch)
 
     monkeypatch.setattr(distance, "ClosedFormPath", Counted)
     g = random_two_step(3, 2, np.random.default_rng(10))
@@ -354,8 +388,8 @@ def test_careful_shooting_builds_one_plus_two_v_covectors(monkeypatch):
         g, np.array([[0.0, 0.0, 0.0, 3.0, -1.0]]), starts, k, careful=True
     )
     assert not conv.any()
-    assert all(b[0] == 1 + 2 * g.v for b in evals)
-    assert sum(b[1] for b in evals) == starts * (k + 1)
+    assert all(len(b) == 1 for b in evals)
+    assert sum(b[0] for b in evals) == starts * (k + 1)
 
 
 STREAM_STALLS = [
@@ -865,6 +899,17 @@ def test_conjugate_times_h1():
     found = conjugate_detect(g, np.zeros(3), [1.0, 0.0, 1.0], 10.0)
     assert found.size == 2
     assert abs(found[1] - 2.0 * TAN_Z_ROOT) < 1e-5
+
+
+def test_conjugate_scan_coarser_than_the_roots_is_refused():
+    # on h1 with P0 = (1, 0, 1) conjugate times lie at 2 pi k interleaved
+    # with 2 z_k (tan z = z), about pi apart: a scan of 400 samples over
+    # t_max = 1e4 would step over most of its 3180 or so, so it raises,
+    # naming the count needed; at t_max = 1000 it finds all 317
+    g = h1()
+    with pytest.raises(ValueError, match="samples >= 3184"):
+        conjugate_detect(g, np.zeros(3), [1.0, 0.0, 1.0], 1e4)
+    assert conjugate_detect(g, np.zeros(3), [1.0, 0.0, 1.0], 1000.0).size == 317
 
 
 def test_conjugate_triple_root_reported_once():

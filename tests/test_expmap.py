@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from carnot import _trig
+from carnot import _trig, distance
+from carnot.distance import _top_frequency as _top
 from carnot.distance import distance_point
-from carnot.errors import NotSkew, WrongStep
+from carnot.errors import NonFiniteState, NotSkew, WrongStep
 from carnot.expmap import ClosedFormPath, exp_sr_2step, skew_canonical
 from carnot.geodesics import _integrate_rk4, integrate_normal
 from carnot.groups import (
@@ -345,11 +346,67 @@ def test_with_horizontal_matches_a_fresh_build(g):
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.abs(want).max())
 
 
+@pytest.mark.parametrize("g", JET_GROUPS[:2], ids=JET_IDS[:2])
+def test_doubling_the_nodes_moves_no_point_or_column(g, monkeypatch):
+    # the closed form's area and every Jacobian column come from the rule
+    # its turn selects: at the reach of every rung, and past the top one,
+    # twice the nodes move x by at most 1e-15 of max |x| and leave P_H(t),
+    # which is not sampled, unchanged; the columns move by at most
+    # (1 + turn / 10) 1e-15 of max |J|, the floor of sampling e^{i mu s}
+    # in double (z u rounds to |z| eps), not the rule (four times the nodes
+    # move them as much), 1.6e-14 at 400 rad on h4v3
+    h, n = g.h, g.n
+    rng = np.random.default_rng(7)
+    turns = np.array(_trig._REACH + (400.0,))
+    P = rng.normal(size=(turns.size, 4, n))
+    P[..., :h] /= np.linalg.norm(P[..., :h], axis=-1, keepdims=True)
+    P[..., h:] *= ((1.0 - 1e-12) * turns[:, None] / _top(g, P[..., h:]))[..., None]
+    x0 = rng.uniform(-1.0, 1.0, n)
+
+    def run():
+        x, p = ClosedFormPath(group=g, x0=x0, P0=P).point(1.0, return_momentum=True)
+        return x, p[..., :h], distance._exp_jacobian(g, x0, P, 1.0)[1]
+
+    once = run()
+    rule = _trig._rule
+    monkeypatch.setattr(_trig, "_rule", lambda m: rule(2 * m))
+    x, ph, J = run()
+    assert np.array_equal(ph, once[1])
+    axes = tuple(range(1, x.ndim))
+    assert np.all(np.abs(x - once[0]).max(axes) <= 1e-15 * np.abs(x).max(axes))
+    axes = tuple(range(1, J.ndim))
+    bound = (1.0 + turns / 10.0) * 1e-15 * np.abs(J).max(axes)
+    assert np.all(np.abs(J - once[2]).max(axes) <= bound)
+
+
+@pytest.mark.parametrize(
+    "g", [h1(), random_two_step(4, 3, np.random.default_rng(20091030))], ids=["h1", "h4v3"]
+)
+def test_non_finite_state_refused_before_any_eigendecomposition(g, monkeypatch):
+    # a NaN or infinite coordinate of x0, P_H or P_V raises NonFiniteState
+    # on every corank, through exp_sr_2step and jet alike, before any eigh
+    # (which does not converge on an infinite M)
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh of a non-finite covector")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    h, n = g.h, g.n
+    unit = np.eye(n)[0]
+    for bad in (np.nan, np.inf, -np.inf):
+        for which, i in (("x0", 0), ("x0", n - 1), ("P0", 0), ("P0", h)):
+            x0, P0 = np.zeros(n), unit.copy()
+            (x0 if which == "x0" else P0)[i] = bad
+            with pytest.raises(NonFiniteState):
+                exp_sr_2step(g, x0, P0, 1.0)
+            with pytest.raises(NonFiniteState):
+                ClosedFormPath(group=g, x0=x0, P0=P0[None]).jet(1.0, np.eye(h)[:, None])
+
+
 def test_corank1_needs_no_product_integrals(monkeypatch):
     def refuse(*args):
         raise AssertionError("product integral on corank 1")
 
-    for name in ["t1", "t2", "t3", "t4", "products"]:
+    for name in ["t1", "t2", "t3", "t4", "products", "quadrature"]:
         monkeypatch.setattr(_trig, name, refuse)
     g = hn(2)
     x0, P0, t, dPH = jet_case(g, np.random.default_rng(44), 8, 1.0)
@@ -357,6 +414,8 @@ def test_corank1_needs_no_product_integrals(monkeypatch):
     x, dx = path.jet(t, dPH)
     assert np.array_equal(x, path.point(t))
     assert dx.shape == (3, 8, g.n)
+    # the eta column of the exact Jacobian is closed form there too
+    assert distance._exp_jacobian(g, x0, P0, t)[1].shape == (8, g.n, g.n)
 
 
 def test_wrong_step_rejected():
